@@ -10,16 +10,24 @@ FUZZ_N ?= 5000
 FUZZ_SEED ?= 3405691582
 
 .PHONY: test lint lint-flow sanitize bench bench-quick bench-quick-record \
-        bench-experiments bench-dispatch bench-rack dispatch-smoke \
+        bench-golden bench-experiments bench-dispatch bench-rack dispatch-smoke \
         rack-smoke profile profile-net experiments fuzz fuzz-smoke
 
 ## Lint + bench smoke + fuzz smoke + dispatch smoke + full test suite.
 ## tests/test_experiments_runner.py includes the parallel-equals-sequential
 ## smoke check for the experiment engine; bench-quick fails if a gated
 ## benchmark regresses below 0.9x of its committed
-## BENCH_substrate_quick.json throughput.
-test: lint lint-flow bench-quick fuzz-smoke dispatch-smoke rack-smoke
+## BENCH_substrate_quick.json throughput; bench-golden checks the
+## benchmark cells' output digests.
+test: lint lint-flow bench-quick bench-golden fuzz-smoke dispatch-smoke rack-smoke
 	$(PYTHON) -m pytest -x -q
+
+## Byte-identity of the benchmark workloads: one pass per workload at the
+## default seed and at the held-out seed 97, every cell's digest checked
+## against bench/golden.json (exit 1 on any mismatch).
+bench-golden:
+	$(PYTHON) bench/run.py --seconds 0
+	$(PYTHON) bench/run.py --seconds 0 --seed 97
 
 ## CI smoke for the rack fabric: the reduced 8-sender incast sweep,
 ## sequential vs parallel byte-identity plus the GBN-worse-than-IRN

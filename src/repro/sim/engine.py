@@ -1,67 +1,49 @@
 """Discrete-event simulation kernel.
 
-This module implements a small, deterministic, generator-based
-discrete-event engine in the style of SimPy.  Every other subsystem in
-``repro`` — the virtual-memory model, the NIC models, the transports and
-the applications — runs as :class:`Process` instances on top of a single
-:class:`Environment`.
-
-The kernel is intentionally minimal but complete:
+A small, deterministic, generator-based discrete-event engine in the
+style of SimPy.  Every other subsystem in ``repro`` — the virtual-memory
+model, the NIC models, the transports and the applications — runs on
+top of a single :class:`Environment`:
 
 * :class:`Event` — one-shot condition with callbacks, success/failure.
-* :class:`Timeout` — an event that fires after a simulated delay.
+* :class:`Timeout` — an event that fires at a scheduled time.
 * :class:`Process` — drives a generator; yielding an event suspends the
   process until the event fires.  A process is itself an event, so
   processes can wait on each other.
-* :class:`Environment` — the calendar queue and clock.
+* :class:`Environment` — the clock, the calendar queue and the one
+  dispatch loop.
 * :func:`any_of` / :func:`all_of` — composite conditions.
 
-Scheduling structure: a three-lane calendar queue tuned for the
-near-monotone timestamps a simulator produces (DESIGN.md has the full
-architecture notes):
+Queue: a calendar queue tuned for the near-monotone timestamps a
+simulator produces (DESIGN.md "Calendar-queue scheduler" has the
+geometry and the measurements behind it):
 
-* ``_imm`` — a deque of events triggered at the current time
-  (``succeed``/``fail``/``defer``/process wake-ups).  Pure append /
-  popleft, no keys.
-* ``_cur`` + ``_buckets`` — the near future.  ``_buckets`` is a ring of
-  ``_RING`` time buckets of width ``_width``; events land in the bucket
-  of their timestamp with a single float multiply (no ``int()`` on the
-  fast path: the bucket test against ``_jp1``/``_hor`` is a pure float
-  compare that is exactly equivalent to the integer bucket index for
-  non-negative offsets).  ``_cur`` is the bucket currently being
-  drained, kept sorted descending by time so the next event pops off
-  the end; inserts that land in the bucket being drained take a
-  front-insert fast path (monotone traffic) or a binary search.
-* ``_ovf`` — the far-future overflow ladder: everything beyond the
-  ring's horizon, kept unsorted until the ring drains, then re-spilled
-  into a fresh epoch (``_respill``) with a bucket width adapted to the
-  observed span.  Chronically single-entry buckets trigger ``_widen``,
-  which re-spills at 8x the width so steady workloads settle into a
-  few events per bucket.
+* ``_imm`` — a deque of events firing at the current time
+  (``succeed``/``fail``/``defer``/process wake-ups), append/popleft.
+* ``_cur`` — the bucket being drained, sorted descending by fire time so
+  the next event pops off the end.
+* ``_buckets`` — a ring of ``_RING`` buckets of ``_width`` seconds.
+* ``_ovf`` — the far-future overflow ladder, unsorted until the ring
+  drains and ``_respill`` rebuilds a fresh epoch from it.
 
-Determinism: events scheduled for the same timestamp fire in FIFO order
-of scheduling.  The classic heap needed an explicit counter in the key
-for this; the calendar queue preserves it structurally — equal
-timestamps always map to the same lane and the same bucket, appends
-happen in schedule order, and every sort is stable (the gather paths
-concatenate overflow, then ring, then current lane, which is the order
-that keeps split ties in schedule order) — so runs are exactly
-reproducible and byte-identical to the heap engine this replaces.
+Two code paths touch the lanes.  :meth:`Environment._schedule_at` is the
+only insert of a timed event (``timeout``, ``after``, ``at`` and
+``schedule_train`` all call it); current-time triggers append to
+``_imm`` directly.  :meth:`Environment._loop` is the only place events
+are popped and dispatched: ``run()``, ``run(until=t)``,
+``run(until=event)`` and ``step()`` differ only in the stop event and
+deadline they pass it.
 
-Performance: this kernel is the innermost loop of every experiment, so
-the hot paths are deliberately low-level Python.  All event classes use
-``__slots__``; :meth:`Environment.run` inlines the dispatch loop, the
-one-hop bucket advance *and* the process-resume fast path instead of
-calling :meth:`Environment.step` / ``Process._resume`` per event; an
-event's absolute fire time is stored on the event itself (``_t``) so
-the queue holds bare events, no key tuples; and process bootstrap /
-immediate-resume wake-ups are scheduled through bare pre-triggered
-events built with ``Event.__new__`` rather than the full constructor +
-``succeed`` path.  A "processed" event is simply one whose
-``callbacks`` have been detached (set to ``None``) — there is no
-separate processed state to store per dispatch.  Every shortcut
-enqueues exactly one entry at exactly the point the naive code would,
-so event order — and therefore every experiment output — is unchanged.
+Determinism: events scheduled for the same timestamp fire in the order
+they were scheduled.  The queue keeps no tie counter: equal timestamps
+always take the same lane and bucket, appends happen in schedule order,
+and every sort is stable, so runs are exactly reproducible.
+
+Performance: ``_loop`` is the innermost loop of every experiment, so it
+inlines the one-hop bucket advance and the process-resume fast path, and
+all event classes use ``__slots__``.  An event's fire time lives on the
+event (``_t``), so lanes hold bare events.  A "processed" event is one
+whose ``callbacks`` have been detached (set to ``None``).
 """
 
 from __future__ import annotations
@@ -106,8 +88,8 @@ _PENDING = 0
 _TRIGGERED = 1  # scheduled, not yet processed
 
 
-# Repr sequence for events with no ``env`` reference (fast-path
-# timeouts); see ``Event._stable_seq``.
+# Repr sequence for events with no ``env`` reference (timeouts); see
+# ``Event._stable_seq``.
 _orphan_repr_seq = 0
 
 
@@ -229,9 +211,9 @@ class Event:
         anything that logs an event repr would diverge between identical
         runs.  Instead each event is numbered, on first repr, from its
         environment's own counter — stable across runs because repr
-        order is itself deterministic.  Timeouts born on the inlined
-        fast path carry no ``env`` reference; they fall back to a
-        module-level counter (equally deterministic per run).
+        order is itself deterministic.  Timeouts carry no ``env``
+        reference; they fall back to a module-level counter (equally
+        deterministic per run).
         """
         try:
             return self._seq
@@ -256,26 +238,22 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires ``delay`` simulated seconds in the future."""
+    """An event born triggered, firing at a scheduled time.
 
-    __slots__ = ("delay",)
+    Built only by :meth:`Environment.timeout`, :meth:`~Environment.after`,
+    :meth:`~Environment.at` and :meth:`~Environment.schedule_train`,
+    through ``Timeout.__new__`` (no constructor frame on the hottest
+    allocation in the simulator).  ``env`` and ``_defused`` are left
+    unset: ``env`` is only read by ``succeed``/``fail``, which reject a
+    triggered event first, and ``not _ok`` guards every ``_defused``
+    read.
+    """
 
-    def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay!r}")
-        self.env = env
-        self.callbacks = []
-        self._value = value
-        self._ok = True
-        self._state = _TRIGGERED
-        self._defused = False
-        self.delay = delay
-        env._schedule_at(env._now + delay, self)
+    __slots__ = ()
 
 
-# ``Timeout.__new__`` bound once: ``Environment.timeout`` calls it per
-# event; re-fetching it there would pay a type attribute lookup on the
-# hottest allocation in the simulator.
+# ``Timeout.__new__`` bound once: the factories call it per event;
+# re-fetching it there would pay a type attribute lookup each time.
 _new_timeout = Timeout.__new__
 
 
@@ -376,9 +354,10 @@ class Process(Event):
         self._waiting_on = interrupt_ev
 
     def _resume(self, event: Event) -> None:
-        # NOTE: Environment.run inlines this method body per dispatch
-        # loop (saving the call frame on the hottest path); any change
-        # here must be mirrored there.
+        # The callback form, registered by list waiters.  NOTE:
+        # Environment._loop inlines this body for a bare Process waiter
+        # (saving the call frame on the hottest path); any change here
+        # must be mirrored there.
         if self._waiting_on is not event:
             # Stale wake-up: the process was interrupted (or re-targeted)
             # after this event triggered but before it was processed.
@@ -389,11 +368,6 @@ class Process(Event):
         # overwrites it (wait on the yielded event or a scheduled hook)
         # and the dead exits make it unreachable, so the store is wasted
         # work on the hottest path in the simulator.
-        env = self.env
-        # Left pointing at this process after it suspends: the property is
-        # only meaningful *while the generator executes* and resetting it
-        # per resume is pure churn on the hottest path.
-        env._active_process = self
         try:
             if event._ok:
                 result = self._send(event._value)
@@ -401,16 +375,13 @@ class Process(Event):
                 event._defused = True
                 result = self._throw(event._value)
         except StopIteration as stop:
-            env._active_process = None
             self.succeed(stop.value)
             return
         except Interrupt as exc:
             # An interrupt escaping the generator kills the process cleanly.
-            env._active_process = None
             self.succeed(exc.cause)
             return
         except BaseException as exc:
-            env._active_process = None
             self.fail(exc)
             return
 
@@ -523,12 +494,18 @@ def all_of(env: "Environment", events: Iterable[Event]) -> Event:
     return _Condition(env, events, need_all=True)
 
 
+# Stop event for the unbounded ``run`` forms: never triggered, so the
+# dispatch loop's ``stop.callbacks is not None`` test always holds.
+_NEVER = Event.__new__(Event)
+_NEVER.callbacks = ()
+
+
 class Environment:
     """The simulation clock and calendar queue."""
 
     __slots__ = ("_now", "_imm", "_cur", "_buckets", "_j", "_jp1", "_hor",
                  "_t0", "_inv_w", "_width", "_thin", "_ovf", "_ovfd",
-                 "_active_process", "_repr_seq")
+                 "_repr_seq")
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
@@ -555,7 +532,6 @@ class Environment:
         # past a far-future event that has since come due.
         self._ovf: list[Event] = []
         self._ovfd = math.inf
-        self._active_process: Optional[Process] = None
         self._repr_seq = 0  # see Event._stable_seq
 
     @property
@@ -563,73 +539,52 @@ class Environment:
         """Current simulated time in seconds."""
         return self._now
 
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process whose generator is currently executing.
-
-        Only meaningful from code running *inside* a process; between
-        events it may point at the most recently resumed process (the
-        hot path does not reset it), and it is ``None`` after a process
-        terminates.
-        """
-        return self._active_process
-
     # -- scheduling core ---------------------------------------------------
     def _schedule_at(self, t: float, ev: Event) -> None:
         """Enqueue ``ev`` to fire at absolute time ``t``.
 
-        The lane test is a pure function of ``t`` (monotone in ``t``
-        within an epoch), which is what preserves FIFO order for equal
-        timestamps without a tie counter: equal times always take the
-        same lane and the same bucket, where appends happen in schedule
-        order.  ``d < _jp1`` is exactly ``int(d) <= _j`` for ``d >= 0``,
-        so the hot path needs no ``int()`` at all.
+        The only insert path for timed events.  Times at or before
+        ``now`` join the current-time lane.  The lane test is a pure
+        function of ``t`` (monotone in ``t`` within an epoch), which is
+        what preserves FIFO order for equal timestamps without a tie
+        counter: equal times always take the same lane and the same
+        bucket, where appends happen in schedule order.  ``d < _jp1`` is
+        exactly ``int(d) <= _j`` for ``d >= 0``, so the hot path needs no
+        ``int()`` at all.
         """
-        now = self._now
-        if t <= now:
+        if t <= self._now:
             self._imm.append(ev)
             return
         ev._t = t
         inv_w = self._inv_w
-        if not inv_w:
-            # Flat lane (width = inf): ``_cur`` alone carries the
-            # schedule, so skip the epoch math entirely.
-            cur = self._cur
-            if not cur or t >= cur[0]._t:
-                cur.insert(0, ev)
-            else:
-                self._slow_insert(t, ev)
-            if len(cur) > _FLAT_LIMIT:
-                self._flat_exit()
-            return
-        d = (t - self._t0) * inv_w
-        if d < self._jp1:
-            cur = self._cur
-            if not cur or t >= cur[0]._t:
-                cur.insert(0, ev)
-            else:
-                self._slow_insert(t, ev)
-        elif d < self._hor:
-            j = int(d)
-            k = j - self._j
-            if k <= 0:
-                # Float-rounding disagreement with the _jp1 shortcut:
-                # resolve by the integer mapping, the authoritative one.
-                cur = self._cur
-                if not cur or t >= cur[0]._t:
-                    cur.insert(0, ev)
+        if inv_w:
+            d = (t - self._t0) * inv_w
+            if d >= self._jp1:
+                if d < self._hor:
+                    j = int(d)
+                    k = j - self._j
                 else:
-                    self._slow_insert(t, ev)
-            elif k < _RING:
-                self._buckets[j & _RING_MASK].append(ev)
-            else:
-                self._ovf.append(ev)
-                if d < self._ovfd:
-                    self._ovfd = d
+                    k = _RING
+                if k >= _RING:
+                    self._ovf.append(ev)
+                    if d < self._ovfd:
+                        self._ovfd = d
+                    return
+                if k > 0:
+                    self._buckets[j & _RING_MASK].append(ev)
+                    return
+                # k <= 0: float rounding disagreed with the _jp1
+                # shortcut; the integer mapping is authoritative and
+                # puts the event in the current bucket.
+        # Current bucket, or the flat lane (width = inf, ``inv_w == 0``)
+        # where ``_cur`` alone carries the schedule.
+        cur = self._cur
+        if not cur or t >= cur[0]._t:
+            cur.insert(0, ev)
         else:
-            self._ovf.append(ev)
-            if d < self._ovfd:
-                self._ovfd = d
+            self._slow_insert(t, ev)
+        if not inv_w and len(cur) > _FLAT_LIMIT:
+            self._flat_exit()
 
     def _slow_insert(self, t: float, ev: Event) -> None:
         # ``_cur`` is descending by ``_t``; find the first index whose
@@ -658,7 +613,7 @@ class Environment:
         if cur[0]._t <= cur[-1]._t:
             return
         cur.reverse()  # ascending again = schedule order for ties
-        # Drain in place: the run loops cache ``_cur`` in a local, and a
+        # Drain in place: ``_loop`` caches ``_cur`` in a local, and a
         # push can land mid-dispatch — a stale local is only safe when
         # the object it still references is empty (same contract as
         # ``_widen``).
@@ -667,7 +622,7 @@ class Environment:
         cur.clear()
         self._ovf = entries
         # adopt=False: adopting a bucket into ``_cur`` here would break
-        # the stale-local contract above (the loop's ``cur`` must stay a
+        # the stale-local contract above (``_loop``'s ``cur`` must stay a
         # truthful emptiness witness for ``self._cur``); the next pop's
         # else-branch picks the first bucket up lazily instead.
         self._respill(adopt=False)
@@ -675,7 +630,7 @@ class Environment:
     def _advance(self) -> bool:
         """Refill ``_cur`` from the ring (cold path).
 
-        The run loops inline the one-hop case (next bucket non-empty);
+        ``_loop`` inlines the one-hop case (next bucket non-empty);
         this method scans further, and when the ring turns out to be
         sparse — or drained — gathers everything and re-spills a fresh
         epoch.  Returns False when no timed events remain anywhere.
@@ -850,68 +805,19 @@ class Environment:
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        # Inlined Timeout construction + scheduling: skips type.__call__,
-        # the __init__ frame and the _schedule_at frame on the single
-        # hottest allocation in the simulator.  Field-for-field identical
-        # to Timeout.__init__ except that ``callbacks`` starts as the
-        # shared no-waiters sentinel instead of a fresh list (see
-        # :func:`_NO_WAITERS`).
+        """An event that fires ``delay`` simulated seconds from now.
+
+        ``callbacks`` starts as the shared no-waiters sentinel instead of
+        a fresh list (see :func:`_NO_WAITERS`).
+        """
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay!r}")
         ev = _new_timeout(Timeout)
-        # ``env`` is left unset: it is only consulted by succeed()/fail(),
-        # which a born-triggered Timeout rejects before touching it.
-        # ``delay`` and ``_defused`` are also left unset — nothing reads
-        # them on a fast-path timeout (``not _ok`` guards every _defused
-        # read, and a Timeout is born ok).
         ev.callbacks = _NO_WAITERS
         ev._value = value
         ev._ok = True
         ev._state = _TRIGGERED
-        now = self._now
-        t = now + delay
-        if t > now:
-            ev._t = t
-            inv_w = self._inv_w
-            if not inv_w:
-                # Flat lane (width = inf): ``_cur`` alone carries the
-                # schedule, so skip the epoch math entirely.
-                cur = self._cur
-                if not cur or t >= cur[0]._t:
-                    cur.insert(0, ev)
-                else:
-                    self._slow_insert(t, ev)
-                if len(cur) > _FLAT_LIMIT:
-                    self._flat_exit()
-                return ev
-            d = (t - self._t0) * inv_w
-            if d < self._jp1:
-                cur = self._cur
-                if not cur or t >= cur[0]._t:
-                    cur.insert(0, ev)
-                else:
-                    self._slow_insert(t, ev)
-            elif d < self._hor:
-                j = int(d)
-                k = j - self._j
-                if k <= 0:
-                    cur = self._cur
-                    if not cur or t >= cur[0]._t:
-                        cur.insert(0, ev)
-                    else:
-                        self._slow_insert(t, ev)
-                elif k < _RING:
-                    self._buckets[j & _RING_MASK].append(ev)
-                else:
-                    self._ovf.append(ev)
-                    if d < self._ovfd:
-                        self._ovfd = d
-            else:
-                self._ovf.append(ev)
-                if d < self._ovfd:
-                    self._ovfd = d
-        else:
-            self._imm.append(ev)
+        self._schedule_at(self._now + delay, ev)
         return ev
 
     def after(self, delay: float, callback: Callable[["Event"], None]) -> Timeout:
@@ -927,50 +833,7 @@ class Environment:
         ev._value = None
         ev._ok = True
         ev._state = _TRIGGERED
-        now = self._now
-        t = now + delay
-        if t > now:
-            ev._t = t
-            inv_w = self._inv_w
-            if not inv_w:
-                # Flat lane (width = inf): ``_cur`` alone carries the
-                # schedule, so skip the epoch math entirely.
-                cur = self._cur
-                if not cur or t >= cur[0]._t:
-                    cur.insert(0, ev)
-                else:
-                    self._slow_insert(t, ev)
-                if len(cur) > _FLAT_LIMIT:
-                    self._flat_exit()
-                return ev
-            d = (t - self._t0) * inv_w
-            if d < self._jp1:
-                cur = self._cur
-                if not cur or t >= cur[0]._t:
-                    cur.insert(0, ev)
-                else:
-                    self._slow_insert(t, ev)
-            elif d < self._hor:
-                j = int(d)
-                k = j - self._j
-                if k <= 0:
-                    cur = self._cur
-                    if not cur or t >= cur[0]._t:
-                        cur.insert(0, ev)
-                    else:
-                        self._slow_insert(t, ev)
-                elif k < _RING:
-                    self._buckets[j & _RING_MASK].append(ev)
-                else:
-                    self._ovf.append(ev)
-                    if d < self._ovfd:
-                        self._ovfd = d
-            else:
-                self._ovf.append(ev)
-                if d < self._ovfd:
-                    self._ovfd = d
-        else:
-            self._imm.append(ev)
+        self._schedule_at(self._now + delay, ev)
         return ev
 
     def at(self, t: float, callback: Callable[["Event"], None],
@@ -1047,10 +910,6 @@ class Environment:
     def all_of(self, events: Iterable[Event]) -> Event:
         return all_of(self, events)
 
-    # -- scheduling --------------------------------------------------------
-    def _push(self, event: Event, delay: float = 0.0) -> None:
-        self._schedule_at(self._now + delay, event)
-
     def schedule_callback(self, delay: float, fn: Callable[[], None]) -> Event:
         """Run ``fn()`` after ``delay`` simulated seconds (fire-and-forget).
 
@@ -1062,266 +921,25 @@ class Environment:
         return self.after(delay, lambda _ev: fn())
 
     # -- execution ---------------------------------------------------------
-    def step(self) -> None:
-        """Process the single next event in the schedule."""
-        imm = self._imm
-        cur = self._cur
-        if imm:
-            # Timed entries at exactly ``now`` predate anything in the
-            # current-time lane (they were scheduled before the clock
-            # reached this timestamp), so they fire first.
-            if cur and cur[-1]._t <= self._now:
-                event = cur.pop()
-                self._now = event._t
-            else:
-                event = imm.popleft()
-        else:
-            while not cur:
-                if not self._advance():
-                    raise SimulationError("step() on an empty schedule")
-                cur = self._cur
-            event = cur.pop()
-            self._now = event._t
-        callbacks = event.callbacks
-        event.callbacks = None
-        cls = callbacks.__class__
-        if cls is Process:
-            callbacks._resume(event)
-        elif cls is list:
-            for callback in callbacks:
-                callback(event)
-            if not event._ok and not event._defused:
-                raise event._value
-        else:
-            # Bare single waiter (or the no-op sentinel).  Bare-waiter
-            # events are born ok or born defused, so no teardown check.
-            callbacks(event)
+    def _loop(self, stop: Event, deadline: float) -> None:
+        """The dispatch loop: pop and process events in schedule order.
 
-    def run(self, until: Optional[float | Event] = None) -> Any:
-        """Run the simulation.
+        Returns once ``stop`` has been processed (checked before every
+        event), once the next timed event lies beyond ``deadline``, or
+        once the schedule is empty.  The deadline is compared only when
+        a timed event is popped: the current-time lane is at ``now``,
+        which never exceeds it.
 
-        ``until`` may be:
-
-        * ``None`` — run until the schedule is empty;
-        * a number — run until the clock reaches that time;
-        * an :class:`Event` — run until that event fires, returning its
-          value (or raising its failure).
-
-        The dispatch loops below inline :meth:`step`, the one-hop bucket
-        advance and the body of ``Process._resume`` because this is the
-        simulator's innermost loop; behaviour is identical, one event
-        per iteration in schedule order.
+        Timed entries at exactly ``now`` predate anything in the
+        current-time lane (they were scheduled before the clock reached
+        this timestamp), so they fire first.  This loop inlines the
+        one-hop bucket advance (``_advance`` is the cold path) and the
+        body of ``Process._resume`` for a bare process waiter.
         """
         imm = self._imm
         buckets = self._buckets
         cur = self._cur
-        if isinstance(until, Event):
-            stop = until
-            while stop.callbacks is not None:
-                if imm:
-                    if cur and cur[-1]._t <= self._now:
-                        event = cur.pop()
-                        self._now = event._t
-                    else:
-                        event = imm.popleft()
-                elif cur:
-                    event = cur.pop()
-                    self._now = event._t
-                else:
-                    j = self._j + 1
-                    b = buckets[j & _RING_MASK]
-                    if b and self._ovfd >= j + 1.0:
-                        self._j = j
-                        self._jp1 = j + 1.0
-                        self._hor = j + 256.0
-                        buckets[j & _RING_MASK] = cur
-                        if len(b) > 1:
-                            b.sort(key=_EV_T)
-                            b.reverse()
-                            self._thin = 0
-                            self._cur = cur = b
-                        else:
-                            th = self._thin + 1
-                            self._thin = th
-                            self._cur = cur = b
-                            if th >= _THIN_LIMIT:
-                                self._widen()
-                                cur = self._cur
-                    elif self._advance():
-                        cur = self._cur
-                    else:
-                        raise SimulationError(
-                            "simulation ran out of events before the awaited event fired"
-                        )
-                    continue
-                callbacks = event.callbacks
-                event.callbacks = None
-                cls = callbacks.__class__
-                if cls is Process:
-                    # Inlined Process._resume (see the note there).
-                    proc = callbacks
-                    if proc._waiting_on is event:
-                        self._active_process = proc
-                        try:
-                            if event._ok:
-                                result = proc._send(event._value)
-                            else:
-                                event._defused = True
-                                result = proc._throw(event._value)
-                        except StopIteration as stop_exc:
-                            self._active_process = None
-                            proc.succeed(stop_exc.value)
-                            continue
-                        except Interrupt as exc:
-                            self._active_process = None
-                            proc.succeed(exc.cause)
-                            continue
-                        except BaseException as exc:
-                            self._active_process = None
-                            proc.fail(exc)
-                            continue
-                        try:
-                            rcbs = result.callbacks
-                        except AttributeError:
-                            if result is None:
-                                proc._schedule_resume(True, None)
-                                continue
-                            raise SimulationError(
-                                f"process {proc.name!r} yielded {result!r}; "
-                                "expected an Event or None"
-                            ) from None
-                        if rcbs is _NO_WAITERS:
-                            proc._waiting_on = result
-                            result.callbacks = proc
-                        elif rcbs is None:
-                            if result._ok:
-                                proc._schedule_resume(True, result._value)
-                            else:
-                                result._defused = True
-                                proc._schedule_resume(False, result._value)
-                        elif rcbs.__class__ is list:
-                            proc._waiting_on = result
-                            rcbs.append(proc._resume_cb)
-                        else:
-                            proc._waiting_on = result
-                            if rcbs.__class__ is Process:
-                                rcbs = rcbs._resume_cb
-                            result.callbacks = [rcbs, proc._resume_cb]
-                    elif not event._ok:
-                        event._defused = True
-                elif cls is list:
-                    for callback in callbacks:
-                        callback(event)
-                    if not event._ok and not event._defused:
-                        raise event._value
-                else:
-                    callbacks(event)
-            if stop._ok:
-                return stop._value
-            stop._defused = True
-            raise stop._value
-        if until is None:
-            # Drain the schedule completely: no deadline peek per event.
-            while True:
-                if imm:
-                    if cur and cur[-1]._t <= self._now:
-                        event = cur.pop()
-                        self._now = event._t
-                    else:
-                        event = imm.popleft()
-                elif cur:
-                    event = cur.pop()
-                    self._now = event._t
-                else:
-                    j = self._j + 1
-                    b = buckets[j & _RING_MASK]
-                    if b and self._ovfd >= j + 1.0:
-                        self._j = j
-                        self._jp1 = j + 1.0
-                        self._hor = j + 256.0
-                        buckets[j & _RING_MASK] = cur
-                        if len(b) > 1:
-                            b.sort(key=_EV_T)
-                            b.reverse()
-                            self._thin = 0
-                            self._cur = cur = b
-                        else:
-                            th = self._thin + 1
-                            self._thin = th
-                            self._cur = cur = b
-                            if th >= _THIN_LIMIT:
-                                self._widen()
-                                cur = self._cur
-                    elif self._advance():
-                        cur = self._cur
-                    else:
-                        return None
-                    continue
-                callbacks = event.callbacks
-                event.callbacks = None
-                cls = callbacks.__class__
-                if cls is Process:
-                    proc = callbacks
-                    if proc._waiting_on is event:
-                        self._active_process = proc
-                        try:
-                            if event._ok:
-                                result = proc._send(event._value)
-                            else:
-                                event._defused = True
-                                result = proc._throw(event._value)
-                        except StopIteration as stop_exc:
-                            self._active_process = None
-                            proc.succeed(stop_exc.value)
-                            continue
-                        except Interrupt as exc:
-                            self._active_process = None
-                            proc.succeed(exc.cause)
-                            continue
-                        except BaseException as exc:
-                            self._active_process = None
-                            proc.fail(exc)
-                            continue
-                        try:
-                            rcbs = result.callbacks
-                        except AttributeError:
-                            if result is None:
-                                proc._schedule_resume(True, None)
-                                continue
-                            raise SimulationError(
-                                f"process {proc.name!r} yielded {result!r}; "
-                                "expected an Event or None"
-                            ) from None
-                        if rcbs is _NO_WAITERS:
-                            proc._waiting_on = result
-                            result.callbacks = proc
-                        elif rcbs is None:
-                            if result._ok:
-                                proc._schedule_resume(True, result._value)
-                            else:
-                                result._defused = True
-                                proc._schedule_resume(False, result._value)
-                        elif rcbs.__class__ is list:
-                            proc._waiting_on = result
-                            rcbs.append(proc._resume_cb)
-                        else:
-                            proc._waiting_on = result
-                            if rcbs.__class__ is Process:
-                                rcbs = rcbs._resume_cb
-                            result.callbacks = [rcbs, proc._resume_cb]
-                    elif not event._ok:
-                        event._defused = True
-                elif cls is list:
-                    for callback in callbacks:
-                        callback(event)
-                    if not event._ok and not event._defused:
-                        raise event._value
-                else:
-                    callbacks(event)
-        deadline = float(until)
-        if deadline != math.inf and deadline < self._now:
-            raise SimulationError(f"run(until={until!r}) is in the past (now={self._now})")
-        while True:
+        while stop.callbacks is not None:
             if imm:
                 if cur and cur[-1]._t <= self._now:
                     event = cur.pop()
@@ -1332,7 +950,7 @@ class Environment:
                 event = cur[-1]
                 when = event._t
                 if when > deadline:
-                    break
+                    return
                 del cur[-1]
                 self._now = when
             else:
@@ -1358,15 +976,15 @@ class Environment:
                 elif self._advance():
                     cur = self._cur
                 else:
-                    break
+                    return
                 continue
             callbacks = event.callbacks
             event.callbacks = None
             cls = callbacks.__class__
             if cls is Process:
+                # Inlined Process._resume (see the note there).
                 proc = callbacks
                 if proc._waiting_on is event:
-                    self._active_process = proc
                     try:
                         if event._ok:
                             result = proc._send(event._value)
@@ -1374,15 +992,12 @@ class Environment:
                             event._defused = True
                             result = proc._throw(event._value)
                     except StopIteration as stop_exc:
-                        self._active_process = None
                         proc.succeed(stop_exc.value)
                         continue
                     except Interrupt as exc:
-                        self._active_process = None
                         proc.succeed(exc.cause)
                         continue
                     except BaseException as exc:
-                        self._active_process = None
                         proc.fail(exc)
                         continue
                     try:
@@ -1420,7 +1035,55 @@ class Environment:
                 if not event._ok and not event._defused:
                     raise event._value
             else:
+                # Bare single waiter (or the no-op sentinel).  Bare-waiter
+                # events are born ok or born defused, so no teardown check.
                 callbacks(event)
+
+    def step(self) -> None:
+        """Process the single next event in the schedule."""
+        imm = self._imm
+        cur = self._cur
+        if imm:
+            if cur and cur[-1]._t <= self._now:
+                nxt = cur[-1]
+            else:
+                nxt = imm[0]
+        else:
+            while not cur:
+                if not self._advance():
+                    raise SimulationError("step() on an empty schedule")
+                cur = self._cur
+            nxt = cur[-1]
+        self._loop(nxt, math.inf)
+
+    def run(self, until: Optional[float | Event] = None) -> Any:
+        """Run the simulation.
+
+        ``until`` may be:
+
+        * ``None`` — run until the schedule is empty;
+        * a number — run until the clock reaches that time (events at
+          exactly that time fire; ``now`` ends at it);
+        * an :class:`Event` — run until that event fires, returning its
+          value (or raising its failure).
+        """
+        if until is None:
+            self._loop(_NEVER, math.inf)
+            return None
+        if isinstance(until, Event):
+            self._loop(until, math.inf)
+            if until.callbacks is not None:
+                raise SimulationError(
+                    "simulation ran out of events before the awaited event fired"
+                )
+            if until._ok:
+                return until._value
+            until._defused = True
+            raise until._value
+        deadline = float(until)
+        if deadline != math.inf and deadline < self._now:
+            raise SimulationError(f"run(until={until!r}) is in the past (now={self._now})")
+        self._loop(_NEVER, deadline)
         if deadline != math.inf:
             self._now = deadline
         return None

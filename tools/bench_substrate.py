@@ -91,75 +91,6 @@ def bench_des_enqueue_mixed(scale: int) -> int:
     return n_timers * rounds
 
 
-def bench_calendar_vs_heap(scale: int) -> int:
-    """Head-to-head: CalendarQueue vs a ``(t, counter)`` binary heap.
-
-    Drives both structures through the same near-monotone workload —
-    ``scale`` pushes with a ~64-entry steady-state backlog, mixed delay
-    classes — and prints the per-structure walls plus the ratio.  The
-    recorded wall (and therefore the gated ops/s) is the *combined*
-    time of both drives, so the gate fires on a regression in either.
-
-    The printed ratio is a tracking figure, not a target: on a small
-    (~64 entry) backlog of bare ``(t, item)`` tuples, C-coded heapq is
-    close to optimal and the pure-Python calendar trails it somewhat.
-    The calendar wins where the engine actually runs it — integrated
-    into dispatch with bare events, no tuple or counter allocation, and
-    near-monotone traffic that stays on the O(1) lanes (see
-    ``des_dispatch``, ``des_enqueue_mixed``, ``npf_service``).
-    """
-    import heapq
-    import random
-
-    from repro.sim.calendar import CalendarQueue
-
-    rng = random.Random(0xC0FFEE)
-    choices = (2e-7, 1e-6, 5e-6, 4e-5, 1e-3)
-    delays = [choices[rng.randrange(5)] for _ in range(scale)]
-    backlog_target = 64
-
-    t0 = time.perf_counter()
-    cal = CalendarQueue()
-    push = cal.push
-    pop = cal.pop
-    now = 0.0
-    backlog = 0
-    for d in delays:
-        push(now + d, None)
-        backlog += 1
-        if backlog >= backlog_target:
-            now = pop()[0]
-            backlog -= 1
-    while backlog:
-        now = pop()[0]
-        backlog -= 1
-    cal_s = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    heap: list = []
-    hpush = heapq.heappush
-    hpop = heapq.heappop
-    now = 0.0
-    backlog = 0
-    counter = 0
-    for d in delays:
-        counter += 1
-        hpush(heap, (now + d, counter))
-        backlog += 1
-        if backlog >= backlog_target:
-            now = hpop(heap)[0]
-            backlog -= 1
-    while backlog:
-        now = hpop(heap)[0]
-        backlog -= 1
-    heap_s = time.perf_counter() - t0
-
-    ratio = heap_s / cal_s if cal_s else float("inf")
-    print(f"    calendar {cal_s * 1e3:8.2f} ms   heap {heap_s * 1e3:8.2f} ms"
-          f"   calendar is {ratio:.2f}x the heap")
-    return scale
-
-
 def bench_des_processes(scale: int) -> int:
     """Process churn: spawn/bootstrap/join chains (stresses _resume)."""
     env = Environment()
@@ -363,7 +294,6 @@ def bench_e2e_fig3(scale: int) -> int:
 BENCHMARKS = {
     "des_dispatch": (bench_des_dispatch, 200_000, "events"),
     "des_enqueue_mixed": (bench_des_enqueue_mixed, 200_000, "events"),
-    "calendar_vs_heap": (bench_calendar_vs_heap, 200_000, "ops"),
     "des_processes": (bench_des_processes, 100_000, "steps"),
     "touch_range_hit": (bench_touch_range_hit, 200_000, "pages"),
     "touch_range_fault": (bench_touch_range_fault, 50_000, "pages"),
@@ -378,14 +308,12 @@ BENCHMARKS = {
 #: event-dispatch loop, the touch_range fault path, and (since the
 #: batched fault-service pipeline) the full NPF service flow plus the
 #: fault-dominated Figure 3 end-to-end run.  The calendar-queue swap
-#: added two scheduler microbenches: the mixed-horizon enqueue shape
-#: (the heap's best case, guarding the calendar's worst) and the
-#: calendar-vs-heap head-to-head.  The burst-mode network datapath
-#: added the packet-train stream and the switch fan-out.  The gate
-#: figure is their *combined* wall clock (seed sum / optimized sum).
-GATE = ("des_dispatch", "des_enqueue_mixed", "calendar_vs_heap",
-        "touch_range_fault", "npf_service", "link_stream",
-        "switch_fanout", "e2e_fig3")
+#: added the mixed-horizon enqueue shape (the heap's best case, guarding
+#: the calendar's worst).  The burst-mode network datapath added the
+#: packet-train stream and the switch fan-out.  The gate figure is
+#: their *combined* wall clock (seed sum / optimized sum).
+GATE = ("des_dispatch", "des_enqueue_mixed", "touch_range_fault",
+        "npf_service", "link_stream", "switch_fanout", "e2e_fig3")
 
 #: sub-second experiments used by ``--experiments --quick`` (CI smoke).
 QUICK_EXPERIMENTS = ("fig3", "table3", "sec63", "ablation-batching",
@@ -861,8 +789,8 @@ def main(argv=None) -> int:
             if base and base["wall_s"] and res["wall_s"]:
                 speedups[name] = round(base["wall_s"] / res["wall_s"], 2)
         # Combined gate over the benchmarks both entries ran (a seed
-        # checkout may lack a benchmark's module, e.g. calendar_vs_heap
-        # before the calendar queue existed).
+        # checkout may lack a benchmark, e.g. des_enqueue_mixed before
+        # the calendar queue existed).
         gated = [n for n in GATE if n in seed and n in results]
         gate_seed = sum(seed[n]["wall_s"] for n in gated)
         gate_opt = sum(results[n]["wall_s"] for n in gated)
