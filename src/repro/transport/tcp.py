@@ -20,8 +20,10 @@ payload bytes are not materialized.
 from __future__ import annotations
 
 import itertools
+import math
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from ..net.packet import ETHERNET_HEADER, ETHERNET_MTU, Packet
 from ..nic.ethernet import EthChannel
@@ -78,7 +80,9 @@ class TcpConnection:
                  "remote_channel", "is_initiator", "state", "snd_una",
                  "snd_nxt", "app_bytes", "cwnd", "ssthresh", "dupacks",
                  "retries", "rto", "_timer_version", "_timer_running",
-                 "_src_ranges", "rcv_nxt", "_out_of_order",
+                 "_timer_syn", "_deadline", "_timer_due", "_timer_cb",
+                 "_flow", "_src_channel", "_src_ranges", "rcv_nxt",
+                 "_out_of_order",
                  "on_established", "on_receive", "on_failed", "timeouts",
                  "fast_retransmits", "delivered_bytes")
 
@@ -105,6 +109,9 @@ class TcpConnection:
         self.remote_channel = remote_channel
         self.is_initiator = is_initiator
         self.state = TcpConnection.CLOSED
+        # Per-segment header constants, formatted once.
+        self._flow = f"tcp-{conn_id}"
+        self._src_channel = stack.channel.name
 
         # Send side (byte sequence space; content never materialized).
         self.snd_una = 0
@@ -115,9 +122,16 @@ class TcpConnection:
         self.dupacks = 0
         self.retries = 0
         self.rto = self.params.rto_min
+        # Retransmission timer: one absolute deadline, served by at most
+        # one pending event (see _arm_timer).
         self._timer_version = 0
         self._timer_running = False
-        self._src_ranges: List[Tuple[int, int, int]] = []  # (seq, end, addr)
+        self._timer_syn = False
+        self._deadline = 0.0
+        self._timer_due = math.inf    # fire time of the pending event
+        self._timer_cb = self._timer_fire
+        # (seq, end, addr), sorted by seq (see _prune_src_ranges).
+        self._src_ranges: Deque[Tuple[int, int, int]] = deque()
 
         # Receive side.
         self.rcv_nxt = 0
@@ -172,9 +186,24 @@ class TcpConnection:
     # -- segment transmission ----------------------------------------------------
     def _src_addr_for(self, seq: int) -> Optional[int]:
         for start, end, addr in self._src_ranges:
-            if start <= seq < end:
+            if start > seq:
+                break  # sorted: no later range can hold seq
+            if seq < end:
                 return addr + (seq - start)
         return None
+
+    def _prune_src_ranges(self) -> None:
+        """Drop the source ranges no transmission can ask for again.
+
+        Retransmits start at ``snd_una`` and :meth:`_pump` at
+        ``snd_nxt``, which a late ACK can leave *below* ``snd_una``
+        (after an RTO's go-back-N), so the floor is the lower of the two.
+        This bounds the deque by the messages in the window.
+        """
+        ranges = self._src_ranges
+        floor = min(self.snd_una, self.snd_nxt)
+        while ranges and ranges[0][1] <= floor:
+            ranges.popleft()
 
     def _make_data(self, seq: int) -> Tuple[Packet, Optional[int], int]:
         """Build one data segment as a ``(packet, src_addr, src_size)``
@@ -182,14 +211,14 @@ class TcpConnection:
         length = min(self.params.mss, self.app_bytes - seq)
         segment = TcpSegment(
             self.conn_id, seq=seq, ack=self.rcv_nxt, length=length, ack_flag=True,
-            src_channel=self.stack.channel.name,
+            src_channel=self._src_channel,
         )
         packet = Packet(
             src=self.stack.name,
             dst=self.remote,
             size=length + self.params.header,
             kind="tcp",
-            flow=f"tcp-{self.conn_id}",
+            flow=self._flow,
             channel=self.remote_channel,
             payload=segment,
         )
@@ -203,14 +232,14 @@ class TcpConnection:
         segment = TcpSegment(
             self.conn_id, seq=self.snd_nxt, ack=self.rcv_nxt,
             syn=syn, ack_flag=ack or ack_only,
-            src_channel=self.stack.channel.name,
+            src_channel=self._src_channel,
         )
         packet = Packet(
             src=self.stack.name,
             dst=self.remote,
             size=self.params.ack_size,
             kind="tcp",
-            flow=f"tcp-{self.conn_id}",
+            flow=self._flow,
             channel=self.remote_channel,
             payload=segment,
         )
@@ -236,27 +265,44 @@ class TcpConnection:
 
     # -- retransmission timer ------------------------------------------------------
     def _arm_timer(self, delay: float, syn: bool = False) -> None:
-        self._timer_version += 1
+        """(Re)start the timer to expire ``delay`` from now.
+
+        Only the deadline moves.  A new event is scheduled only when
+        none is pending or the deadline moved *earlier* than the pending
+        one (an ACK after backoff resets ``rto`` to ``rto_min``); a later
+        deadline is picked up when the pending event fires.
+        """
+        deadline = self.env.now + delay
+        self._deadline = deadline
+        self._timer_syn = syn
         self._timer_running = True
-        self.env.process(
-            self._timer(self._timer_version, delay, syn),
-            name=f"tcp{self.conn_id}-rto",
-        )
+        if deadline < self._timer_due:
+            self._timer_version += 1
+            self._timer_due = deadline
+            self.env.at(deadline, self._timer_cb, self._timer_version)
 
     def _ensure_timer(self) -> None:
         if not self._timer_running:
             self._arm_timer(self.rto)
 
     def _cancel_timer(self) -> None:
-        self._timer_version += 1
         self._timer_running = False
 
-    def _timer(self, version: int, delay: float, syn: bool):
-        yield self.env.timeout(delay)
+    def _timer_fire(self, event) -> None:
+        version = event._value
         if version != self._timer_version:
+            return  # superseded by an earlier deadline
+        self._timer_due = math.inf
+        if not self._timer_running:
+            return
+        deadline = self._deadline
+        if deadline > self.env.now:
+            # Re-armed since this event was scheduled: sleep on.
+            self._timer_due = deadline
+            self.env.at(deadline, self._timer_cb, version)
             return
         self._timer_running = False
-        if syn:
+        if self._timer_syn:
             self._on_syn_timeout()
         else:
             self._on_rto()
@@ -343,6 +389,7 @@ class TcpConnection:
     def _handle_ack(self, ack: int) -> None:
         if ack > self.snd_una:
             self.snd_una = ack
+            self._prune_src_ranges()
             self.retries = 0
             self.rto = self.params.rto_min
             self.dupacks = 0

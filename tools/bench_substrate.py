@@ -282,6 +282,58 @@ def bench_switch_fanout(scale: int) -> int:
     return per_port * n_ports
 
 
+def bench_tcp_stream(scale: int) -> int:
+    """One TCP connection streaming 64 KB zero-copy sends (transport).
+
+    Ethernet testbed, pinned server, no loss: the per-segment TCP work
+    (segment build, DMA-source lookup, an RTO re-arm per ACK) over the
+    NIC and link datapath.  The sender keeps ``window`` messages queued
+    and writes the next each time the receiver consumes one, so the
+    connection's history grows with the run while its window does not.
+    Counts data segments delivered.  Uses only public API so the same
+    body runs on older checkouts.
+    """
+    from repro.host import ethernet_testbed
+    from repro.nic import RxMode
+    from repro.sim.units import KB
+
+    env = Environment()
+    _, _, srv_user, cli_user = ethernet_testbed(env, RxMode.PIN)
+    message, window = 64 * KB, 16
+    n_messages = max(window, scale * cli_user.stack.params.mss // message)
+    buffer = cli_user.mmap(window * message, name="tx")
+    state = {"sent": 0, "bytes": 0, "segments": 0}
+    done = env.event()
+
+    def send_next(conn):
+        slot = state["sent"] % window
+        state["sent"] += 1
+        conn.send(message, src_addr=buffer.base + slot * message)
+
+    def on_established(conn):
+        for _ in range(window):
+            send_next(conn)
+
+    def on_receive(conn, n_bytes):
+        state["segments"] += 1
+        before = state["bytes"] // message
+        state["bytes"] += n_bytes
+        for _ in range(state["bytes"] // message - before):
+            if state["sent"] < n_messages:
+                send_next(client)
+        if state["bytes"] == n_messages * message:
+            done.succeed()
+
+    def accept(conn):
+        conn.on_receive = on_receive
+
+    srv_user.stack.listen(accept)
+    client = cli_user.stack.connect("server", "srv0")
+    client.on_established = on_established
+    env.run(until=done)
+    return state["segments"]
+
+
 def bench_e2e_fig3(scale: int) -> int:
     """One end-to-end experiment (Figure 3 breakdown, real driver flows)."""
     from repro.experiments import fig3_breakdown
@@ -301,6 +353,7 @@ BENCHMARKS = {
     "npf_service": (bench_npf_service, 20_000, "faults"),
     "link_stream": (bench_link_stream, 200_000, "packets"),
     "switch_fanout": (bench_switch_fanout, 100_000, "packets"),
+    "tcp_stream": (bench_tcp_stream, 100_000, "segments"),
     "e2e_fig3": (bench_e2e_fig3, 200_000, "samples"),
 }
 
@@ -310,10 +363,12 @@ BENCHMARKS = {
 #: fault-dominated Figure 3 end-to-end run.  The calendar-queue swap
 #: added the mixed-horizon enqueue shape (the heap's best case, guarding
 #: the calendar's worst).  The burst-mode network datapath added the
-#: packet-train stream and the switch fan-out.  The gate figure is
-#: their *combined* wall clock (seed sum / optimized sum).
+#: packet-train stream and the switch fan-out, and the bounded TCP fast
+#: path the one-connection segment stream.  The gate figure is their
+#: *combined* wall clock (seed sum / optimized sum).
 GATE = ("des_dispatch", "des_enqueue_mixed", "touch_range_fault",
-        "npf_service", "link_stream", "switch_fanout", "e2e_fig3")
+        "npf_service", "link_stream", "switch_fanout", "tcp_stream",
+        "e2e_fig3")
 
 #: sub-second experiments used by ``--experiments --quick`` (CI smoke).
 QUICK_EXPERIMENTS = ("fig3", "table3", "sec63", "ablation-batching",
