@@ -1,19 +1,17 @@
 """The paper's contribution: NPF support, ODP regions and pinning baselines."""
 
-from .costs import InvalidationBreakdown, NpfBreakdown, NpfCosts
+from .costs import NpfBreakdown, NpfCosts
 from .driver import NpfDriver
-from .npf import InvalidationEvent, NpfEvent, NpfKind, NpfLog, NpfSide
+from .npf import NpfEvent, NpfKind, NpfLog, NpfSide
 from .pin_down_cache import PinDownCache, PinDownStats
 from .pinning import FineGrainedPinner, StaticPinner
 from .provider import IoProvider
 from .regions import MemoryRegion, OdpMemoryRegion, PinnedMemoryRegion
 
 __all__ = [
-    "InvalidationBreakdown",
     "NpfBreakdown",
     "NpfCosts",
     "NpfDriver",
-    "InvalidationEvent",
     "NpfEvent",
     "NpfKind",
     "NpfLog",

@@ -24,7 +24,7 @@ from typing import Optional
 from ..sim.rng import NV_MAGICCONST as _NV_MAGICCONST, Rng
 from ..sim.units import ms, us
 
-__all__ = ["NpfCosts", "NpfBreakdown", "InvalidationBreakdown"]
+__all__ = ["NpfCosts", "NpfBreakdown"]
 
 
 @dataclass(slots=True)
@@ -50,19 +50,6 @@ class NpfBreakdown:
     def hardware_fraction(self) -> float:
         hw = self.trigger_interrupt + 0.8 * self.update_pt + self.resume
         return hw / self.total if self.total else 0.0
-
-
-@dataclass(slots=True)
-class InvalidationBreakdown:
-    """Latency split along Figure 3(b): checks / hw PT update / sw updates."""
-
-    checks: float
-    update_pt: float
-    updates: float
-
-    @property
-    def total(self) -> float:
-        return self.checks + self.update_pt + self.updates
 
 
 @dataclass
@@ -173,20 +160,6 @@ class NpfCosts:
             update_pt=self.pt_update_batch_time(n_pages),
             resume=self._jitter(self.resume),
             swap=swap_latency,
-        )
-
-    def invalidation_breakdown(self, was_mapped: bool) -> InvalidationBreakdown:
-        """Latency breakdown for one invalidation (Figure 3(b)).
-
-        Lazily-mapped pages that never faulted in have no IOMMU state, so
-        only the software checks are charged.
-        """
-        if not was_mapped:
-            return InvalidationBreakdown(checks=self.inv_checks, update_pt=0.0, updates=0.0)
-        return InvalidationBreakdown(
-            checks=self.inv_checks,
-            update_pt=self._jitter(self.inv_update_pt),
-            updates=self.inv_updates,
         )
 
     def memcpy_time(self, size_bytes: int) -> float:

@@ -5,9 +5,9 @@ interrupt, OS fault-in (minor or major), batched I/O page-table update,
 resume — driven as a chain of event callbacks (one timeout per phase,
 no generator machinery).  ``NpfDriver.service_fault`` is the same flow
 in generator form for process-style composition.
-``NpfDriver.invalidate`` is the invalidation flow (steps a–d), invoked
-from MMU-notifier context when the OS evicts or unmaps a page;
-``NpfDriver.invalidate_range`` is its bulk form.
+``NpfDriver.invalidate_range`` is the invalidation flow (steps a–d),
+invoked from MMU-notifier context when the OS evicts or unmaps pages;
+``NpfDriver.invalidate`` is its single-page form.
 
 The three §4 optimizations are all here and individually switchable for
 the ablation benchmarks:
@@ -48,8 +48,8 @@ from ..mem.memory import AddressSpace, Region
 from ..sim.engine import Environment, Event
 from ..sim.resources import Resource
 from ..sim.rng import NV_MAGICCONST as _NV_MAGICCONST
-from .costs import InvalidationBreakdown, NpfBreakdown, NpfCosts
-from .npf import InvalidationEvent, NpfEvent, NpfKind, NpfLog, NpfSide
+from .costs import NpfBreakdown, NpfCosts
+from .npf import NpfEvent, NpfKind, NpfLog, NpfSide
 from .regions import MemoryRegion, OdpMemoryRegion, PinnedMemoryRegion
 
 __all__ = ["NpfDriver"]
@@ -460,97 +460,29 @@ class NpfDriver:
 
     # -- invalidation flow (Figure 2, right) -----------------------------------------
     def invalidate(self, mr: MemoryRegion, vpn: int) -> float:
-        """Tear down one I/O PTE; returns the latency to charge the evictor.
+        """Tear down one I/O PTE; returns the latency to charge the evictor."""
+        return self.invalidate_range(mr, vpn, 1)
 
-        The common path below is the inlined form of
-        ``iommu.unmap`` + ``costs.invalidation_breakdown`` +
-        ``log.record_invalidation`` — same state transitions, counters,
-        RNG draws and float association, minus the call chain.  Falls
-        back to the composed path when the DMA sanitizer is active so
-        its unmap hooks fire.
+    def invalidate_range(self, mr: MemoryRegion, vpn: int, n_pages: int) -> float:
+        """Tear down a run of I/O PTEs; returns the summed latency.
+
+        Per page: unmap the PTE, shoot down its IOTLB entry and charge
+        Figure 3(b)'s checks, plus the jittered hardware page-table
+        update and the software updates when the page was mapped.  The
+        log's running sums are loaded into locals and advanced page by
+        page, so they equal a per-page list's ``sum()`` bit for bit.
+        An armed DMA sanitizer sees every removed PTE and then checks
+        the whole range for a missing shootdown.
         """
-        if _hooks.active is not None:
-            was_mapped = self.iommu.unmap(mr.domain.domain_id, vpn)
-            breakdown = self.costs.invalidation_breakdown(was_mapped)
-            self.log.record_invalidation(
-                InvalidationEvent(self.env.now, vpn, was_mapped, breakdown)
-            )
-            return breakdown.total
+        if n_pages <= 0:
+            return 0.0
+        san = _hooks.active
         costs = self.costs
         log = self.log
         iommu = self.iommu
         domain_id = mr.domain.domain_id
         table = iommu._domains[domain_id]
-        entries = table._entries
-        if vpn in entries:
-            del entries[vpn]
-            table.unmaps += 1
-            iotlb = iommu.iotlb
-            iotlb.invalidations += 1
-            iotlb._cache.pop((domain_id, vpn), None)
-            rng = costs.rng
-            if rng is None:
-                upd = costs.inv_update_pt
-            else:
-                # Inlined _jitter (see costs.NpfCosts._jitter): same
-                # Kinderman-Monahan draws, same stream position.
-                rand = rng._random.random
-                while True:
-                    u1 = rand()
-                    u2 = 1.0 - rand()
-                    z = _NV_MAGICCONST * (u1 - 0.5) / u2
-                    if z * z / 4.0 <= -_log(u2):
-                        break
-                upd = costs.inv_update_pt * _exp(z * costs.jitter_sigma)
-                if rand() < costs.slow_path_probability:
-                    upd *= costs.slow_path_multiplier
-            latency = costs.inv_checks + upd + costs.inv_updates
-            log.invalidation_count += 1
-            if log.keep_events:
-                log.invalidation_events.append(InvalidationEvent(
-                    self.env.now, vpn, True,
-                    InvalidationBreakdown(costs.inv_checks, upd,
-                                          costs.inv_updates),
-                ))
-            else:
-                log._stream_invalidation.add(latency)
-            return latency
-        latency = costs.inv_checks + 0.0 + 0.0
-        log.invalidation_count += 1
-        if log.keep_events:
-            log.invalidation_events.append(InvalidationEvent(
-                self.env.now, vpn, False,
-                InvalidationBreakdown(costs.inv_checks, 0.0, 0.0),
-            ))
-        else:
-            log._stream_invalidation.add(latency)
-        return latency
-
-    def invalidate_range(self, mr: MemoryRegion, vpn: int, n_pages: int) -> float:
-        """Tear down a run of I/O PTEs (bulk form of repeated
-        :meth:`invalidate` calls); returns the summed latency.
-
-        Per-page latencies, RNG draws, IOTLB shootdown accounting and log
-        records are exactly those of the per-page loop — outputs are
-        bit-identical — with the dispatch overhead hoisted out.  Falls
-        back to the per-page path when the DMA sanitizer is active so
-        every unmap is individually checked.
-        """
-        if n_pages <= 0:
-            return 0.0
-        if _hooks.active is not None:
-            total = 0.0
-            for v in range(vpn, vpn + n_pages):
-                total += self.invalidate(mr, v)
-            return total
-        costs = self.costs
-        log = self.log
-        keep = log.keep_events
-        now = self.env.now
-        domain_id = mr.domain.domain_id
-        table = self.iommu._domains[domain_id]
-        entries = table._entries
-        iotlb = self.iommu.iotlb
+        iotlb = iommu.iotlb
         iotlb_cache = iotlb._cache
         iotlb_pop = iotlb_cache.pop
         rng = costs.rng
@@ -561,29 +493,24 @@ class NpfDriver:
         sigma = costs.jitter_sigma
         slow_p = costs.slow_path_probability
         slow_mult = costs.slow_path_multiplier
-        if keep:
-            record_event = log.invalidation_events.append
-            # Never-mapped pages all share one constant breakdown (checks
-            # only) — the values are identical, no per-page allocation.
-            cheap = InvalidationBreakdown(checks=checks, update_pt=0.0, updates=0.0)
-        else:
-            # Buffer the per-page latencies and hand them to the summary
-            # in one add_many pass (same per-sample order, less dispatch).
-            stream_buf: list = []
-            stream_add = stream_buf.append
+        checks_sum = log.invalidation_checks_sum
+        update_pt_sum = log.invalidation_update_pt_sum
+        updates_sum = log.invalidation_updates_sum
+        latency_sum = log.invalidation_latency_sum
         total = 0.0
-        unmapped_count = 0
+        mapped = 0
         # Hot-loop locals: one dict.pop replaces the contains+del pair,
         # the IOTLB shootdown is skipped while the cache is empty (a pop
         # from an empty cache is a no-op either way), and the miss
         # latency is the same constant every iteration.
-        entries_pop = entries.pop
+        entries_pop = table._entries.pop
         miss_latency = checks + 0.0 + 0.0
-        make_event = InvalidationEvent
-        make_breakdown = InvalidationBreakdown
         for v in range(vpn, vpn + n_pages):
+            checks_sum += checks
             if entries_pop(v, _UNMAPPED) is not _UNMAPPED:
-                unmapped_count += 1
+                mapped += 1
+                if san is not None:
+                    san.on_pt_unmap(table, v)
                 if iotlb_cache:
                     iotlb_pop((domain_id, v), None)
                 if rand is None:
@@ -606,25 +533,23 @@ class NpfDriver:
                     if rand() < slow_p:
                         upd *= slow_mult
                 latency = checks + upd + updates
-                if keep:
-                    record_event(make_event(
-                        now, v, True,
-                        make_breakdown(checks, upd, updates),
-                    ))
-                else:
-                    stream_add(latency)
+                update_pt_sum += upd
+                updates_sum += updates
+                latency_sum += latency
                 total += latency
             else:
-                if keep:
-                    record_event(make_event(now, v, False, cheap))
-                else:
-                    stream_add(miss_latency)
+                latency_sum += miss_latency
                 total += miss_latency
-        if not keep:
-            log._stream_invalidation.add_many(stream_buf)
-        table.unmaps += unmapped_count
-        iotlb.invalidations += unmapped_count
+        log.invalidation_checks_sum = checks_sum
+        log.invalidation_update_pt_sum = update_pt_sum
+        log.invalidation_updates_sum = updates_sum
+        log.invalidation_latency_sum = latency_sum
         log.invalidation_count += n_pages
+        log.invalidation_mapped += mapped
+        table.unmaps += mapped
+        iotlb.invalidations += mapped
+        if san is not None:
+            san.on_iommu_unmap(iommu, domain_id, vpn, n_pages)
         return total
 
     # -- pre-faulting helper ------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 These are the observable artifacts of the paper's mechanism: every
 fault serviced by the driver produces an :class:`NpfEvent` with its
-Figure 3 breakdown, and every MMU-notifier invalidation produces an
-:class:`InvalidationEvent`.  Experiments aggregate them for Figure 3 and
-Table 4.
+Figure 3 breakdown, and every MMU-notifier invalidation updates the
+:class:`NpfLog`'s constant-size invalidation aggregates.  Experiments
+aggregate them for Figure 3 and Table 4.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..sim.stats import StreamingSummary, Summary
-from .costs import InvalidationBreakdown, NpfBreakdown
+from .costs import NpfBreakdown
 
-__all__ = ["NpfKind", "NpfSide", "NpfEvent", "InvalidationEvent", "NpfLog"]
+__all__ = ["NpfKind", "NpfSide", "NpfEvent", "NpfLog"]
 
 
 class NpfKind(enum.Enum):
@@ -51,28 +51,19 @@ class NpfEvent:
         return self.breakdown.total
 
 
-@dataclass(slots=True)
-class InvalidationEvent:
-    """One MMU-notifier-driven IOMMU invalidation."""
-
-    time: float
-    vpn: int
-    was_mapped: bool
-    breakdown: InvalidationBreakdown
-
-    @property
-    def latency(self) -> float:
-        return self.breakdown.total
-
-
 class NpfLog:
-    """Accumulates fault and invalidation events for the experiments.
+    """Accumulates fault events and invalidation aggregates for the
+    experiments.
 
-    Two modes:
+    Invalidations are never kept one by one, in either mode: the driver
+    adds each page's Figure 3(b) components to running sums, page by
+    page in invalidation order, so each ``*_sum`` equals a left-to-right
+    sum over a per-page list bit for bit.
 
-    * ``keep_events=True`` (default) retains every :class:`NpfEvent` /
-      :class:`InvalidationEvent` — experiments slice them freely and
-      compute exact percentiles.
+    Faults have two modes:
+
+    * ``keep_events=True`` (default) retains every :class:`NpfEvent` —
+      experiments slice them freely and compute exact percentiles.
     * ``keep_events=False`` is the streaming mode for benchmarks and
       long soak runs: events are dropped after updating bounded-memory
       :class:`~repro.sim.stats.StreamingSummary` accumulators (online
@@ -83,17 +74,22 @@ class NpfLog:
     def __init__(self, keep_events: bool = True):
         self.keep_events = keep_events
         self.npf_events: List[NpfEvent] = []
-        self.invalidation_events: List[InvalidationEvent] = []
         self.npf_count = 0
         self.minor_count = 0
         self.major_count = 0
+        #: Pages invalidated, and how many of them had an I/O PTE.
         self.invalidation_count = 0
+        self.invalidation_mapped = 0
+        #: Page-order running sums of Figure 3(b)'s components (checks,
+        #: hw page-table update, sw updates) and of their per-page total.
+        self.invalidation_checks_sum = 0.0
+        self.invalidation_update_pt_sum = 0.0
+        self.invalidation_updates_sum = 0.0
+        self.invalidation_latency_sum = 0.0
         self._stream_all: Optional[StreamingSummary] = None
         self._stream_by_side: Dict[NpfSide, StreamingSummary] = {}
-        self._stream_invalidation: Optional[StreamingSummary] = None
         if not keep_events:
             self._stream_all = StreamingSummary()
-            self._stream_invalidation = StreamingSummary()
 
     def record_npf(self, event: NpfEvent) -> None:
         self.npf_count += 1
@@ -110,13 +106,6 @@ class NpfLog:
         if per_side is None:
             per_side = self._stream_by_side[event.side] = StreamingSummary()
         per_side.add(latency)
-
-    def record_invalidation(self, event: InvalidationEvent) -> None:
-        self.invalidation_count += 1
-        if self.keep_events:
-            self.invalidation_events.append(event)
-        else:
-            self._stream_invalidation.add(event.breakdown.total)
 
     # -- allocation-lean streaming entry points -------------------------------
     # The batched fault-service pipeline uses these when ``keep_events``
@@ -143,13 +132,6 @@ class NpfLog:
             per_side = self._stream_by_side[side] = StreamingSummary()
         per_side.add(latency)
 
-    def record_invalidation_total(self, latency: float) -> None:
-        """Streaming-mode record of one invalidation (no event object)."""
-        if self.keep_events:
-            raise ValueError("record_invalidation_total requires keep_events=False")
-        self.invalidation_count += 1
-        self._stream_invalidation.add(latency)
-
     def latencies(self, side: Optional[NpfSide] = None) -> List[float]:
         return [
             ev.latency
@@ -170,15 +152,6 @@ class NpfLog:
             stream = self._stream_all
         else:
             stream = self._stream_by_side.get(side)
-        if stream is None or not stream.count:
-            raise ValueError("summary of empty sample set")
-        return stream.summary()
-
-    def invalidation_summary(self) -> Summary:
-        """Latency summary of MMU-notifier invalidations (both modes)."""
-        if self.keep_events:
-            return Summary.of([ev.latency for ev in self.invalidation_events])
-        stream = self._stream_invalidation
         if stream is None or not stream.count:
             raise ValueError("summary of empty sample set")
         return stream.summary()

@@ -26,8 +26,12 @@ from .cells import Cell, cell, run_cells
 __all__ = ["run", "cells", "merge", "cell_npf", "cell_invalidation"]
 
 
+def _ratio(total, count):
+    return total / count if count else 0.0
+
+
 def _mean(values):
-    return sum(values) / len(values) if values else 0.0
+    return _ratio(sum(values), len(values))
 
 
 def cell_npf(label: str, size: int, samples: int, seed: int,
@@ -82,14 +86,15 @@ def cell_invalidation(label: str, premap: bool, samples: int, seed: int,
     driver.invalidate_range(mr, vpns[0], len(vpns))
     if logs is not None:
         logs.append(driver.log)
-    events = driver.log.invalidation_events
+    log = driver.log
+    n = log.invalidation_count
     return dict(
         case=label,
         interrupt_us=0.0,
-        driver_us=_mean([e.breakdown.checks for e in events]) / us,
-        update_pt_us=_mean([e.breakdown.update_pt for e in events]) / us,
-        resume_us=_mean([e.breakdown.updates for e in events]) / us,
-        total_us=_mean([e.latency for e in events]) / us,
+        driver_us=_ratio(log.invalidation_checks_sum, n) / us,
+        update_pt_us=_ratio(log.invalidation_update_pt_sum, n) / us,
+        resume_us=_ratio(log.invalidation_updates_sum, n) / us,
+        total_us=_ratio(log.invalidation_latency_sum, n) / us,
         hw_fraction=0.0,
     )
 

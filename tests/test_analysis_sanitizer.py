@@ -6,14 +6,17 @@ never sees the staged bugs.
 """
 
 import io
+from collections import OrderedDict
 from contextlib import redirect_stdout
 
 import pytest
 
 from repro.analysis import hooks
 from repro.analysis.sanitizer import DmaSanitizer, SanitizerError
+from repro.core import NpfCosts, NpfDriver, NpfSide
 from repro.iommu.iommu import Iommu
 from repro.mem.memory import Memory
+from repro.sim import Environment, Rng
 from repro.sim.units import MB, PAGE_SIZE
 
 
@@ -72,6 +75,76 @@ def test_missing_shootdown_at_unmap_time_is_detected():
         table.unmap(3)
         san.on_iommu_unmap(iommu, table.domain_id, 3, 1)
     assert "missing-shootdown" in _checkers(san)
+
+
+# -- the driver's bulk invalidation loop -------------------------------------
+
+class _NoShootdownCache(OrderedDict):
+    """An IOTLB whose ``pop`` does nothing: every shootdown is lost."""
+
+    def pop(self, key, default=None):
+        return default
+
+
+def _invalidate_cached_pages(cache_cls=None):
+    """Fault in 4 pages, cache their translations, then invalidate 8 pages
+    in one ``invalidate_range``; returns its latency and the log sums."""
+    env = Environment()
+    iommu = Iommu()
+    driver = NpfDriver(env, iommu, costs=NpfCosts(rng=Rng(5)))
+    space = Memory(64 * PAGE_SIZE).create_space()
+    region = space.mmap(8 * PAGE_SIZE)
+    mr = driver.register_odp(space, region)
+    base = region.vpns()[0]
+    env.run(driver.service_fault_async(mr, base, 4, NpfSide.SEND))
+    for vpn in range(base, base + 4):
+        assert not iommu.translate(mr.domain.domain_id, vpn).fault
+    if cache_cls is not None:
+        iommu.iotlb._cache = cache_cls(iommu.iotlb._cache)
+    total = driver.invalidate_range(mr, base, 8)
+    log = driver.log
+    return (total, log.invalidation_count, log.invalidation_mapped,
+            log.invalidation_checks_sum, log.invalidation_update_pt_sum,
+            log.invalidation_updates_sum, log.invalidation_latency_sum)
+
+
+def test_missing_shootdown_in_bulk_invalidation_is_detected():
+    """The planted bug: the bulk loop's IOTLB pops are lost."""
+    san = DmaSanitizer()
+    with hooks.session(san):
+        _invalidate_cached_pages(_NoShootdownCache)
+    assert "missing-shootdown" in _checkers(san)
+
+
+class _CountingSanitizer(DmaSanitizer):
+    def __init__(self):
+        super().__init__()
+        self.pt_unmaps = 0
+        self.range_unmaps = []
+
+    def on_pt_unmap(self, table, iopn):
+        self.pt_unmaps += 1
+        super().on_pt_unmap(table, iopn)
+
+    def on_iommu_unmap(self, iommu, domain_id, iopn, n_pages):
+        self.range_unmaps.append(n_pages)
+        super().on_iommu_unmap(iommu, domain_id, iopn, n_pages)
+
+
+def test_bulk_invalidation_is_one_path_armed_or_not():
+    """Armed and unarmed runs return bit-identical latencies and sums; the
+    armed run sees each removed PTE and one range-level unmap check."""
+    with hooks.session(None):
+        plain = _invalidate_cached_pages()
+    san = _CountingSanitizer()
+    with hooks.session(san):
+        armed = _invalidate_cached_pages()
+        san.final_check()
+    assert san.violations == [], san.summary()
+    assert armed == plain
+    assert plain[1:3] == (8, 4)
+    assert san.pt_unmaps == 4
+    assert san.range_unmaps == [8]
 
 
 # -- pinned-frame accounting -------------------------------------------------

@@ -63,22 +63,46 @@ def test_tail_latency_shape_matches_table4():
     assert max(samples) / p50 < 3.5
 
 
+def _invalidate_pages(n_mapped, n_unmapped, keep_events=True):
+    """Invalidate ``n_mapped`` pages with an I/O PTE, then ``n_unmapped``
+    never-mapped ones, one call each; returns (costs, log, latencies)."""
+    from repro.core import NpfDriver
+    from repro.core.npf import NpfLog
+    from repro.iommu import Iommu
+    from repro.mem import Memory
+    from repro.sim import Environment
+    from repro.sim.units import PAGE_SIZE
+
+    costs = NpfCosts()
+    iommu = Iommu()
+    driver = NpfDriver(Environment(), iommu, costs=costs,
+                       log=NpfLog(keep_events=keep_events))
+    space = Memory(64 * PAGE_SIZE).create_space()
+    region = space.mmap((n_mapped + n_unmapped) * PAGE_SIZE)
+    mr = driver.register_odp(space, region)
+    vpns = region.vpns()
+    for frame, vpn in enumerate(vpns[:n_mapped]):
+        mr.domain.map(vpn, frame)
+    latencies = [driver.invalidate(mr, vpn) for vpn in vpns]
+    return costs, driver.log, latencies
+
+
 def test_invalidation_cheaper_than_npf():
     """Figure 3: invalidations are cheaper than faults."""
-    costs = NpfCosts()
-    inv = costs.invalidation_breakdown(was_mapped=True)
+    costs, _, (inv,) = _invalidate_pages(1, 0)
     npf = costs.npf_breakdown(1)
-    assert inv.total < npf.total
+    assert inv == costs.inv_checks + costs.inv_update_pt + costs.inv_updates
+    assert inv < npf.total
 
 
 def test_unmapped_invalidation_skips_hardware():
     """Lazily-mapped pages that never faulted: checks only, no hw update."""
-    costs = NpfCosts()
-    mapped = costs.invalidation_breakdown(True)
-    unmapped = costs.invalidation_breakdown(False)
-    assert unmapped.update_pt == 0.0
-    assert unmapped.updates == 0.0
-    assert unmapped.total < mapped.total
+    costs, log, (mapped, unmapped) = _invalidate_pages(1, 1)
+    assert unmapped == costs.inv_checks
+    assert unmapped < mapped
+    assert (log.invalidation_count, log.invalidation_mapped) == (2, 1)
+    assert log.invalidation_update_pt_sum == costs.inv_update_pt
+    assert log.invalidation_updates_sum == costs.inv_updates
 
 
 def test_pin_time_scales_linearly():
@@ -149,18 +173,14 @@ def test_npf_log_summary_agrees_across_modes():
 
 
 def test_npf_log_streaming_invalidations():
-    from repro.core.costs import InvalidationBreakdown
-    from repro.core.npf import InvalidationEvent, NpfLog
-
-    log = NpfLog(keep_events=False)
-    for i in range(10):
-        log.record_invalidation(InvalidationEvent(
-            time=float(i), vpn=i, was_mapped=True,
-            breakdown=InvalidationBreakdown(1.0, 2.0, float(i)),
-        ))
-    assert log.invalidation_events == []
+    """A streaming-mode log keeps the invalidation count and sums."""
+    costs, log, latencies = _invalidate_pages(6, 4, keep_events=False)
     assert log.invalidation_count == 10
-    summary = log.invalidation_summary()
-    assert summary.count == 10
-    assert summary.minimum == 3.0
-    assert summary.maximum == 12.0
+    assert log.invalidation_mapped == 6
+    total = 0.0
+    for latency in latencies:  # page order, as the driver accumulates
+        total += latency
+    assert log.invalidation_latency_sum == total
+    assert log.invalidation_checks_sum == pytest.approx(10 * costs.inv_checks)
+    assert log.invalidation_update_pt_sum == pytest.approx(6 * costs.inv_update_pt)
+    assert log.invalidation_updates_sum == pytest.approx(6 * costs.inv_updates)

@@ -7,6 +7,7 @@ swap-burst batch amortization.
 """
 
 import math
+import tracemalloc
 
 import pytest
 
@@ -18,7 +19,7 @@ from repro.iommu.page_table import IoPageTable
 from repro.mem import Memory
 from repro.sim import Environment
 from repro.sim.rng import Rng
-from repro.sim.units import PAGE_SIZE
+from repro.sim.units import MB, PAGE_SIZE
 
 
 def make_stack(mem_pages=64, seed=None, log=None, **driver_kwargs):
@@ -31,7 +32,9 @@ def make_stack(mem_pages=64, seed=None, log=None, **driver_kwargs):
 
 
 def service_workload(env, driver, mr, base, faults=40, use_generator=False):
-    """Fault/invalidate loop across a few pages and both fault kinds."""
+    """Fault/invalidate loop across a few pages and both fault kinds;
+    returns each ``invalidate`` call's latency, in call order."""
+    latencies = []
 
     def body():
         for i in range(faults):
@@ -41,9 +44,24 @@ def service_workload(env, driver, mr, base, faults=40, use_generator=False):
                 yield env.process(driver.service_fault(mr, vpn, 1, side))
             else:
                 yield driver.service_fault_async(mr, vpn, 1, side)
-            driver.invalidate(mr, vpn)
+            latencies.append(driver.invalidate(mr, vpn))
 
     env.run(env.process(body()))
+    return latencies
+
+
+def invalidation_aggregates(log):
+    return (log.invalidation_count, log.invalidation_mapped,
+            log.invalidation_checks_sum, log.invalidation_update_pt_sum,
+            log.invalidation_updates_sum, log.invalidation_latency_sum)
+
+
+def running_sum(values):
+    """Left-to-right float sum (``sum()`` is compensated on 3.12+)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 # ------------------------------------------------- streaming log parity
@@ -53,18 +71,18 @@ def run_logged(keep_events, seed=7, faults=40):
     space = memory.create_space()
     region = space.mmap(16 * PAGE_SIZE)
     mr = driver.register_odp(space, region)
-    service_workload(env, driver, mr, region.vpns()[0], faults=faults)
-    return driver.log
+    latencies = service_workload(env, driver, mr, region.vpns()[0],
+                                 faults=faults)
+    return driver.log, latencies
 
 
 def test_streaming_summary_matches_keep_events_aggregates():
-    keep = run_logged(True)
-    stream = run_logged(False)
+    keep, keep_lat = run_logged(True)
+    stream, stream_lat = run_logged(False)
     assert stream.npf_count == keep.npf_count
     assert stream.minor_count == keep.minor_count
     assert stream.major_count == keep.major_count
-    assert stream.invalidation_count == keep.invalidation_count
-    assert not stream.npf_events and not stream.invalidation_events
+    assert not stream.npf_events
 
     for side in (None, NpfSide.SEND, NpfSide.RECEIVE):
         exact = keep.npf_summary(side)
@@ -84,18 +102,21 @@ def test_streaming_summary_matches_keep_events_aggregates():
             assert getattr(est, attr) == pytest.approx(
                 getattr(exact, attr), rel=0.5)
 
-    exact = keep.invalidation_summary()
-    est = stream.invalidation_summary()
-    assert (est.count, est.mean, est.minimum, est.maximum) == (
-        exact.count, exact.mean, exact.minimum, exact.maximum)
+    # Invalidations are aggregated the same way in both modes, and the
+    # sums are the page-order running sums of the returned latencies.
+    assert stream_lat == keep_lat
+    assert invalidation_aggregates(stream) == invalidation_aggregates(keep)
+    assert keep.invalidation_count == len(keep_lat) == 40
+    assert 0 < keep.invalidation_mapped <= keep.invalidation_count
+    assert keep.invalidation_latency_sum == running_sum(keep_lat)
 
 
 def test_streaming_percentiles_exact_below_five_events():
     # The P^2 estimator keeps an exact sorted bootstrap until the fifth
     # sample initialises the markers, so summaries over fewer than five
     # events match the keep-events percentiles bit-for-bit.
-    keep = run_logged(True, faults=4)
-    stream = run_logged(False, faults=4)
+    keep, _ = run_logged(True, faults=4)
+    stream, _ = run_logged(False, faults=4)
     exact = keep.npf_summary()
     est = stream.npf_summary()
     assert (est.p50, est.p95, est.p99) == (exact.p50, exact.p95, exact.p99)
@@ -105,24 +126,69 @@ def test_record_totals_require_streaming_mode():
     log = NpfLog()  # keep_events=True
     with pytest.raises(ValueError):
         log.record_npf_total(NpfSide.SEND, NpfKind.MINOR, 1.0)
-    with pytest.raises(ValueError):
-        log.record_invalidation_total(1.0)
+
+
+# ------------------------------------------- bounded invalidation state
+def storm_peak_ratio():
+    """tracemalloc peak of an 8x longer Table 4 4MB storm over a short one
+    (20 vs 160 faults, each followed by a 1024-page invalidation)."""
+    from repro.experiments.table4_tail import cell_tail
+
+    peaks = []
+    for samples in (20, 160):
+        tracemalloc.start()
+        try:
+            cell_tail("4MB", 4 * MB, samples=samples, seed=7)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return peaks[1] / peaks[0]
+
+
+class _RetainingLog(NpfLog):
+    """Planted leak: keeps one object per invalidated page."""
+
+    def __init__(self, keep_events=True):
+        self.retained = []
+        super().__init__(keep_events)
+
+    @property
+    def invalidation_count(self):
+        return len(self.retained)
+
+    @invalidation_count.setter
+    def invalidation_count(self, value):
+        self.retained.extend(object() for _ in range(value - len(self.retained)))
+
+
+def test_invalidation_state_is_bounded_by_run_length():
+    assert storm_peak_ratio() <= 1.2
+
+
+def test_planted_per_page_invalidation_record_breaks_the_bound(monkeypatch):
+    import repro.core.driver as driver_module
+
+    monkeypatch.setattr(driver_module, "NpfLog", _RetainingLog)
+    assert storm_peak_ratio() > 1.2
 
 
 # ------------------------------------------- async vs generator parity
 def test_async_pipeline_matches_generator_path():
-    logs = []
+    runs = []
     for use_generator in (False, True):
         env, memory, iommu, driver = make_stack(seed=3)
         space = memory.create_space()
         region = space.mmap(16 * PAGE_SIZE)
         mr = driver.register_odp(space, region)
-        service_workload(env, driver, mr, region.vpns()[0],
-                         use_generator=use_generator)
-        logs.append(driver.log)
-    async_log, gen_log = logs
+        latencies = service_workload(env, driver, mr, region.vpns()[0],
+                                     use_generator=use_generator)
+        runs.append((driver.log, latencies))
+    (async_log, async_lat), (gen_log, gen_lat) = runs
     assert async_log.npf_events == gen_log.npf_events
-    assert async_log.invalidation_events == gen_log.invalidation_events
+    assert async_lat == gen_lat
+    assert async_log.invalidation_mapped > 0
+    assert (invalidation_aggregates(async_log)
+            == invalidation_aggregates(gen_log))
 
 
 def test_batched_wqe_fault_matches_n_pages_aggregate():
@@ -215,32 +281,48 @@ def test_coalescing_preserves_class_concurrency_bound():
 
 # ------------------------------------------------ invalidate_range parity
 def test_invalidate_range_matches_per_page_loop():
+    """Bulk, per-page and the composed ``iommu.unmap`` reference leave the
+    same page table and IOTLB behind; bulk and per-page also agree on
+    every latency, log aggregate and counter."""
     results = []
-    for bulk in (True, False):
+    states = []
+    for how in ("bulk", "loop", "iommu.unmap"):
         env, memory, iommu, driver = make_stack(seed=5)
         space = memory.create_space()
-        region = space.mmap(8 * PAGE_SIZE)
+        region = space.mmap(12 * PAGE_SIZE)
         mr = driver.register_odp(space, region)
         base = region.vpns()[0]
+        domain_id = mr.domain.domain_id
 
         def body():
-            yield driver.service_fault_async(mr, base, 4, NpfSide.SEND)
+            yield driver.service_fault_async(mr, base, 6, NpfSide.SEND)
 
         env.run(env.process(body()))
-        if bulk:
-            total = driver.invalidate_range(mr, base, 8)
-        else:
+        for vpn in range(base, base + 6):  # fill the IOTLB
+            assert not iommu.translate(domain_id, vpn).fault
+        # Pages base+2 .. base+9: four mapped and cached, four never mapped.
+        if how == "bulk":
+            total = driver.invalidate_range(mr, base + 2, 8)
+        elif how == "loop":
             total = 0.0
-            for vpn in range(base, base + 8):
+            for vpn in range(base + 2, base + 10):
                 total += driver.invalidate(mr, vpn)
-        results.append((total, driver.log.invalidation_events,
-                        driver.log.invalidation_count,
-                        iommu._domains[mr.domain.domain_id].unmaps,
-                        iommu.iotlb.invalidations))
-    bulk_r, loop_r = results
-    assert bulk_r[0] == loop_r[0]  # summed latency, same draws
-    assert bulk_r[1] == loop_r[1]  # per-page events incl. breakdowns
-    assert bulk_r[2:] == loop_r[2:]  # log / page-table / IOTLB counters
+        else:
+            for vpn in range(base + 2, base + 10):
+                iommu.unmap(domain_id, vpn)
+            total = None
+        states.append((list(iommu.iotlb._cache),
+                       dict(iommu._domains[domain_id]._entries),
+                       iommu._domains[domain_id].unmaps,
+                       iommu.iotlb.invalidations))
+        results.append((total, invalidation_aggregates(driver.log)))
+    bulk_r, loop_r, _ = results
+    assert bulk_r == loop_r  # summed latency (same draws) and log aggregates
+    assert bulk_r[1][:2] == (8, 4)  # pages invalidated, pages that were mapped
+    bulk_s, loop_s, ref_s = states
+    assert bulk_s == loop_s == ref_s  # IOTLB keys, PTEs, unmap/shootdown counters
+    assert sorted(ref_s[0]) == [(domain_id, base), (domain_id, base + 1)]
+    assert sorted(ref_s[1]) == [base, base + 1]
 
 
 # ------------------------------------------------- bulk page-in / batches

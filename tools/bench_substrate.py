@@ -169,12 +169,15 @@ def bench_npf_service(scale: int) -> int:
     """Full NPF service flows (fault -> OS -> PT update -> resume).
 
     ``scale`` is the number of faults serviced — the returned op count is
-    exactly that (no hidden divisor).  Uses the default keep-events log
-    on every checkout so both sides of a seed comparison do the same
-    record work (the seed's ``keep_events=False`` mode silently *drops*
-    events, which is not comparable), and the event-based
-    ``service_fault_async`` pipeline where the checkout has it, the
-    process/generator path otherwise.
+    exactly that (no hidden divisor).  Each fault is followed by one
+    single-page ``invalidate``.  Uses the default keep-events log on
+    every checkout so both sides of a seed comparison keep one
+    ``NpfEvent`` per fault (the seed's ``keep_events=False`` mode
+    silently *drops* fault events, which is not comparable); where the
+    checkout aggregates invalidations into constant-size sums, that is
+    the invalidation record work in both log modes.  Runs the
+    event-based ``service_fault_async`` pipeline where the checkout has
+    it, the process/generator path otherwise.
     """
     env = Environment()
     memory = Memory(1024 * PAGE_SIZE)
