@@ -10,16 +10,16 @@ FUZZ_N ?= 5000
 FUZZ_SEED ?= 3405691582
 
 .PHONY: test lint lint-flow sanitize bench bench-quick bench-quick-record \
-        bench-golden bench-experiments bench-dispatch bench-rack dispatch-smoke \
-        rack-smoke profile profile-net experiments fuzz fuzz-smoke
+        bench-golden bench-experiments bench-rack rack-smoke profile profile-net \
+        experiments fuzz fuzz-smoke
 
-## Lint + bench smoke + fuzz smoke + dispatch smoke + full test suite.
+## Lint + bench smoke + fuzz smoke + rack smoke + full test suite.
 ## tests/test_experiments_runner.py includes the parallel-equals-sequential
 ## smoke check for the experiment engine; bench-quick fails if a gated
 ## benchmark regresses below 0.9x of its committed
 ## BENCH_substrate_quick.json throughput; bench-golden checks the
 ## benchmark cells' output digests.
-test: lint lint-flow bench-quick bench-golden fuzz-smoke dispatch-smoke rack-smoke
+test: lint lint-flow bench-quick bench-golden fuzz-smoke rack-smoke
 	$(PYTHON) -m pytest -x -q
 
 ## Byte-identity of the benchmark workloads: one pass per workload at the
@@ -35,12 +35,6 @@ bench-golden:
 ## BENCH_experiments*.json records are never rewritten here.
 rack-smoke:
 	$(PYTHON) tools/bench_substrate.py --rack --quick --check
-
-## CI smoke for the distributed dispatch path: spawn 2 localhost cell
-## workers, run a reduced suite through them, assert byte-identical
-## output and that the dispatch mode actually engaged.
-dispatch-smoke:
-	$(PYTHON) tools/dispatch_smoke.py
 
 ## Determinism / DMA-invariant static analysis (tools/lint).
 ## Results are content-hash cached under .repro-cache/lint/; warm runs
@@ -78,12 +72,6 @@ bench-quick-record:
 ## and warm-cache, verify byte-identical output -> BENCH_experiments.json.
 bench-experiments:
 	$(PYTHON) tools/bench_substrate.py --experiments --jobs $(JOBS)
-
-## The dispatch_overhead gate: in-process vs loopback 1-worker dispatch
-## vs --spawn-workers autospawn, byte-identity enforced, overhead bound
-## 1.3x -> BENCH_experiments.json.
-bench-dispatch:
-	$(PYTHON) tools/bench_substrate.py --dispatch
 
 ## The rack_incast gate at full scale (16 senders): byte-identity plus
 ## the 2x GBN-vs-IRN goodput-degradation separation under 1% loss ->

@@ -266,6 +266,11 @@ class DmaSanitizer:
                     f"for frame {frame} which is not resident",
                 )
 
+    def on_pt_map_range(self, table: Any, entries: Dict[int, int]) -> None:
+        """A bulk install landed: each entry gets :meth:`on_pt_map`'s check."""
+        for iopn, frame in entries.items():
+            self.on_pt_map(table, iopn, frame)
+
     def on_pt_unmap(self, table: Any, iopn: int) -> None:
         self._pt.pop((table, iopn), None)
 

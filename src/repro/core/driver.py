@@ -204,10 +204,10 @@ class _FaultOp:
             mr = self.mr
             pages = self.pages
             translate = mr.space.translate
-            if (len(pages) == 1 and not driver.warm_iotlb
-                    and _hooks.active is None):
+            if len(pages) == 1 and not driver.warm_iotlb:
                 # Single-entry form of map_batch: same validation, same
-                # page-table state and ``maps`` count, no dict or hops.
+                # page-table state, ``maps`` count and sanitizer check,
+                # no dict or hops.
                 v = pages[0]
                 frame = translate(v)
                 if frame is not None:
@@ -216,6 +216,8 @@ class _FaultOp:
                     domain = mr.domain
                     domain._entries[v] = frame
                     domain.maps += 1
+                    if _hooks.active is not None:
+                        _hooks.active.on_pt_map(domain, v, frame)
             else:
                 entries = {}
                 for v in pages:

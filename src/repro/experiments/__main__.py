@@ -5,23 +5,18 @@ Usage::
     python -m repro.experiments list
     python -m repro.experiments run fig3 table4 ...
     python -m repro.experiments run all --jobs 8
-    python -m repro.experiments run all --workers box1:9001,box2:9001
-    python -m repro.experiments run all --spawn-workers 4
     python -m repro.experiments run all --json results.json
     python -m repro.experiments profile [names...] [--jobs N]
 
 Each experiment prints the paper-style table it reproduces.  ``run``
 fans the experiments' sweep cells across a process pool (``--jobs``,
-default: all cores) — or across dispatch workers on other machines
-(``--workers host:port,...``, each a ``python -m
-repro.experiments.serve`` process on the same checkout; or
-``--spawn-workers N`` localhost autospawn) — and caches cell results
-under ``.repro-cache/`` keyed by config + source hash (``--no-cache``
-forces recompute); the tables land on stdout — byte-identical whatever
-``--jobs`` or the worker fleet is — while timing, cache accounting and
-the effective execution mode go to stderr.  ``profile`` runs the
-substrate micro-benchmarks (or named experiments) under cProfile and
-prints the top functions by cumulative time.
+default: all cores) and caches cell results under ``.repro-cache/``
+keyed by config + source hash (``--no-cache`` forces recompute); the
+tables land on stdout — byte-identical whatever ``--jobs`` is — while
+timing, cache accounting and the effective execution mode go to
+stderr.  ``profile`` runs the substrate micro-benchmarks (or named
+experiments) under cProfile and prints the top functions by cumulative
+time.
 """
 
 from __future__ import annotations
@@ -131,21 +126,11 @@ def main(argv: List[str] | None = None) -> int:
                                  "writing .repro-cache/")
     run_parser.add_argument("--json", metavar="PATH", default=None,
                             help="also dump the results as JSON to PATH")
-    run_parser.add_argument("--workers", metavar="HOST:PORT,...",
-                            default=None,
-                            help="dispatch cells to these cell servers "
-                                 "(python -m repro.experiments.serve); "
-                                 "comma-separated host:port endpoints")
-    run_parser.add_argument("--spawn-workers", type=int, default=0,
-                            metavar="N",
-                            help="autospawn N localhost cell servers for "
-                                 "this run (honest fallback: stays "
-                                 "in-process when they cannot win)")
     run_parser.add_argument("--cell-timeout", type=float, default=None,
                             metavar="S",
-                            help="per-cell wait bound for pooled/dispatched "
+                            help="per-cell wait bound for pooled "
                                  "execution (default 600; timed-out cells "
-                                 "are reassigned or retried in-process)")
+                                 "are retried in-process)")
     profile_parser = sub.add_parser(
         "profile",
         help="profile the substrate micro-benchmarks (or experiments) "
@@ -182,18 +167,7 @@ def main(argv: List[str] | None = None) -> int:
         print(f"unknown experiments: {', '.join(unknown)}", file=sys.stderr)
         print(f"available: {', '.join(REGISTRY)}", file=sys.stderr)
         return 2
-    if args.workers:
-        from .dispatch import parse_endpoints
-
-        try:
-            parse_endpoints(args.workers)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
     report = run_many(names, jobs=args.jobs, cache=not args.no_cache,
-                      workers=args.workers,
-                      spawn_workers=args.spawn_workers,
                       cell_timeout=args.cell_timeout)
     for result in report.results.values():
         print_result(result)

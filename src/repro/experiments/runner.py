@@ -26,7 +26,6 @@ violation into a hard error.
 
 from __future__ import annotations
 
-import contextlib
 import os
 import pickle
 from collections import OrderedDict
@@ -157,14 +156,13 @@ class CacheStats:
 class RunReport:
     """What one ``run_many`` invocation did, for the CLI summary line.
 
-    ``mode`` is the *effective* execution mode — ``"in-process"``,
-    ``"fork-pool(n)"`` or ``"dispatch(n=K, stolen=S, reassigned=R)"`` —
-    as chosen by :func:`execute_cells` after the fallback heuristics,
-    not the requested ``jobs``/workers.  Benchmarks record it so a pool
-    or dispatch fan-out that would lose to (or silently degrade to)
-    sequential execution can never be reported as parallel silently
-    (see ``tools/bench_substrate.py``).  ``notes`` records fallback and
-    degradation events (dead workers, timed-out pool cells) for the
+    ``mode`` is the *effective* execution mode — ``"in-process"`` or
+    ``"fork-pool(n)"`` (``+retry(k)`` after a timeout) — as chosen by
+    :func:`execute_cells` after the fallback heuristics, not the
+    requested ``jobs``.  Benchmarks record it so a pool that would lose
+    to (or silently degrade to) sequential execution can never be
+    reported as parallel silently (see ``tools/bench_substrate.py``).
+    ``notes`` records degradation events (timed-out pool cells) for the
     stderr summary.
     """
 
@@ -181,12 +179,12 @@ class RunReport:
 #: startup + pickle cost against typical cell runtimes; stay in-process.
 _MIN_POOL_CELLS = 4
 
-#: Per-cell wait bound for pooled and dispatched execution.  The
-#: longest legitimate cells (fig7's one-minute configs) finish in well
-#: under a tenth of this, so it only ever fires on a genuinely wedged
-#: worker — which previously stalled ``run all`` forever.  Overridable
-#: per call (``cell_timeout=``) or via ``REPRO_CELL_TIMEOUT`` (seconds;
-#: 0 disables).
+#: Per-cell wait bound for pooled execution.  The longest legitimate
+#: cells (fig7's one-minute configs) finish in well under a tenth of
+#: this, so it only ever fires on a genuinely wedged worker — which
+#: previously stalled ``run all`` forever.  Overridable per call
+#: (``cell_timeout=``) or via ``REPRO_CELL_TIMEOUT`` (seconds; 0
+#: disables).
 DEFAULT_CELL_TIMEOUT_S = 600.0
 
 
@@ -284,69 +282,6 @@ def _cache_store(path: Path, fragment: Any) -> None:
     os.replace(tmp, path)
 
 
-def _note(report: Optional[RunReport], text: str) -> None:
-    if report is not None:
-        report.notes.append(text)
-
-
-def _dispatch_pending(cells: Sequence[Cell], pending: List[int],
-                      endpoints, spawn_workers: int,
-                      cell_timeout: Optional[float],
-                      report: Optional[RunReport]) -> Optional[Dict[int, Any]]:
-    """Try the distributed path for ``pending``; None means fall back.
-
-    Explicit ``endpoints`` are always honored (the caller asserted they
-    exist — typically other machines).  ``spawn_workers`` localhost
-    autospawn goes through the same honesty heuristic as the fork pool:
-    on a <= 2-core box, or for a sweep too small to amortize worker
-    startup, spawning local workers cannot win and the caller's
-    in-process/pool path runs instead — with the reason recorded.
-    """
-    from . import dispatch as dispatch_mod
-
-    spawn = 0
-    if spawn_workers > 0:
-        if usable_cpus() <= 2:
-            _note(report, f"dispatch fallback: --spawn-workers "
-                          f"{spawn_workers} on a {usable_cpus()}-core box "
-                          f"cannot win; staying local")
-        elif len(pending) < _MIN_POOL_CELLS:
-            _note(report, f"dispatch fallback: only {len(pending)} pending "
-                          f"cell(s); not worth spawning workers")
-        else:
-            spawn = spawn_workers
-    if not endpoints and not spawn:
-        return None
-
-    timeout = (cell_timeout if cell_timeout is not None
-               else _default_cell_timeout()) or DEFAULT_CELL_TIMEOUT_S
-    jobs = [(i, cells[i]) for i in pending]
-    sanitize = _sanitize_requested()
-    try:
-        with contextlib.ExitStack() as stack:
-            all_endpoints = list(endpoints)
-            if spawn:
-                all_endpoints.extend(
-                    stack.enter_context(dispatch_mod.spawned_workers(spawn)))
-            results, dstats = dispatch_mod.dispatch_cells(
-                jobs, all_endpoints, source_fingerprint(), timeout,
-                sanitize, _execute_cell)
-    except dispatch_mod.DispatchUnavailable as exc:
-        _note(report, f"dispatch fallback: {exc}")
-        return None
-    if report is not None:
-        report.mode = dstats.mode()
-    if dstats.dead:
-        _note(report, f"dispatch: worker(s) lost mid-run: "
-                      f"{', '.join(dstats.dead)}; {dstats.reassigned} "
-                      f"cell(s) reassigned, {dstats.local} completed "
-                      f"in-process")
-    if dstats.rejected:
-        _note(report, f"dispatch: stale worker(s) rejected: "
-                      f"{'; '.join(dstats.rejected)}")
-    return results
-
-
 def execute_cells(cells: Sequence[Cell],
                   jobs: Optional[int] = None,
                   cache: bool = True,
@@ -354,35 +289,27 @@ def execute_cells(cells: Sequence[Cell],
                   fingerprint: Optional[str] = None,
                   stats: Optional[CacheStats] = None,
                   report: Optional[RunReport] = None,
-                  workers=None,
-                  spawn_workers: int = 0,
                   cell_timeout: Optional[float] = None) -> List[Any]:
     """Execute ``cells``, returning fragments in the cells' order.
 
     Cached fragments are loaded instead of recomputed; missing ones run
-    in-process, across a fork pool, or across dispatch workers
-    (``workers`` — parsed ``host:port`` endpoints or a spec string —
-    and/or ``spawn_workers`` localhost autospawns), and are published
-    to the cache afterwards.  ``fingerprint`` overrides the source-tree
-    hash (tests use this to force invalidation without editing files).
+    in-process or across a fork pool, and are published to the cache
+    afterwards.  ``fingerprint`` overrides the source-tree hash (tests
+    use this to force invalidation without editing files).
 
     Parallelism is honest: the pool is only forked when it can plausibly
     win — more than two usable cores AND at least ``_MIN_POOL_CELLS``
     pending cells AND ``jobs > 1`` — otherwise execution stays
-    in-process (no fork, no pickling, ambient observers intact), and
-    localhost worker autospawn obeys the same heuristic.  Cache-hit
-    cells never travel: only pending cells are pooled or dispatched.
-    Fragments are reassembled by cell index whatever completes (or
-    dies) first, so the output is bit-identical to the in-process
-    order at any job/worker count.  The chosen mode is recorded on
-    ``report`` when one is passed.
+    in-process (no fork, no pickling, ambient observers intact).
+    Cache-hit cells never travel: only pending cells are pooled.
+    Fragments are reassembled by cell index whatever completes first,
+    so the output is bit-identical to the in-process order at any job
+    count.  The chosen mode is recorded on ``report`` when one is passed.
 
-    Robustness: pooled and dispatched cells wait at most
-    ``cell_timeout`` seconds (default :data:`DEFAULT_CELL_TIMEOUT_S`,
-    env ``REPRO_CELL_TIMEOUT``); a wedged pool is terminated and its
-    unfinished cells retried in-process, a wedged or dead dispatch
-    worker has its cells reassigned (in-process when no worker
-    remains).  A stuck child can therefore no longer stall ``run all``
+    Robustness: pooled cells wait at most ``cell_timeout`` seconds
+    (default :data:`DEFAULT_CELL_TIMEOUT_S`, env ``REPRO_CELL_TIMEOUT``);
+    a wedged pool is terminated and its unfinished cells retried
+    in-process.  A stuck child can therefore no longer stall ``run all``
     forever.
     """
     jobs = jobs if jobs else default_jobs()
@@ -413,20 +340,7 @@ def execute_cells(cells: Sequence[Cell],
     stats.misses += len(pending)
 
     if pending:
-        endpoints = ()
-        if workers:
-            from .dispatch.client import parse_endpoints
-            endpoints = parse_endpoints(workers)
-        computed_map: Optional[Dict[int, Any]] = None
-        if endpoints or spawn_workers > 0:
-            computed_map = _dispatch_pending(cells, pending, endpoints,
-                                             spawn_workers, cell_timeout,
-                                             report)
-        if computed_map is not None:
-            computed = [computed_map[i] for i in pending]
-        else:
-            computed = _execute_local(cells, pending, jobs, cell_timeout,
-                                      report)
+        computed = _execute_local(cells, pending, jobs, cell_timeout, report)
         for i, fragment in zip(pending, computed):
             fragments[i] = fragment
             if cache:
@@ -439,7 +353,7 @@ def execute_cells(cells: Sequence[Cell],
 def _execute_local(cells: Sequence[Cell], pending: List[int],
                    jobs: int, cell_timeout: Optional[float],
                    report: Optional[RunReport]) -> List[Any]:
-    """The single-box path: fork pool when it can win, else in-process."""
+    """Run the pending cells: fork pool when it can win, else in-process."""
     n_workers = min(jobs, len(pending))
     use_pool = (n_workers > 1
                 and len(pending) >= _MIN_POOL_CELLS
@@ -458,18 +372,16 @@ def _execute_local(cells: Sequence[Cell], pending: List[int],
 
     timeout = (cell_timeout if cell_timeout is not None
                else _default_cell_timeout())
-    # Chunked imap_unordered: workers pull work as they finish
-    # (slow cells overlap instead of barrier-batching a map),
-    # chunks amortize per-task pickle round-trips, and index
-    # tags restore deterministic order on reassembly.
-    chunksize = max(1, len(pending) // (n_workers * 4))
+    # imap_unordered, one cell per task: workers pull work as they
+    # finish (slow cells overlap instead of barrier-batching a map), and
+    # index tags restore deterministic order on reassembly.  It must
+    # stay unchunked: with chunksize > 1 CPython returns a plain
+    # generator, which has no ``next(timeout)``.
     by_index: Dict[int, Any] = {}
     retried: List[int] = []
     with multiprocessing.get_context("fork").Pool(n_workers) as pool:
         results = pool.imap_unordered(
-            _execute_cell_indexed,
-            [(i, cells[i]) for i in pending],
-            chunksize=chunksize)
+            _execute_cell_indexed, [(i, cells[i]) for i in pending])
         while len(by_index) + len(retried) < len(pending):
             try:
                 i, fragment = (results.next(timeout) if timeout
@@ -478,8 +390,7 @@ def _execute_local(cells: Sequence[Cell], pending: List[int],
                 break
             except multiprocessing.TimeoutError:
                 # A wedged child would stall the sweep forever; kill
-                # the pool and retry everything unfinished in-process
-                # (a chunk stuck behind the wedged cell never started).
+                # the pool and retry everything unfinished in-process.
                 pool.terminate()
                 retried = [i for i in pending if i not in by_index]
                 break
@@ -490,9 +401,10 @@ def _execute_local(cells: Sequence[Cell], pending: List[int],
         report.mode = f"fork-pool({n_workers})"
         if retried:
             report.mode += f"+retry({len(retried)})"
-            _note(report, f"fork-pool: cell wait exceeded {timeout}s; "
-                          f"pool terminated, {len(retried)} cell(s) "
-                          f"retried in-process")
+            report.notes.append(f"fork-pool: cell wait exceeded "
+                                f"{timeout}s; pool terminated, "
+                                f"{len(retried)} cell(s) retried "
+                                f"in-process")
     return [by_index[i] for i in pending]
 
 
@@ -502,8 +414,6 @@ def run_experiment(name: str,
                    cache_dir: Optional[os.PathLike] = None,
                    fingerprint: Optional[str] = None,
                    stats: Optional[CacheStats] = None,
-                   workers=None,
-                   spawn_workers: int = 0,
                    cell_timeout: Optional[float] = None,
                    **kwargs: Any) -> ExperimentResult:
     """Run one registry entry through the cell engine.
@@ -515,9 +425,7 @@ def run_experiment(name: str,
     sweep = spec.cells(**kwargs)
     fragments = execute_cells(sweep, jobs=jobs, cache=cache,
                               cache_dir=cache_dir, fingerprint=fingerprint,
-                              stats=stats, workers=workers,
-                              spawn_workers=spawn_workers,
-                              cell_timeout=cell_timeout)
+                              stats=stats, cell_timeout=cell_timeout)
     return spec.merge(sweep, fragments)
 
 
@@ -526,15 +434,12 @@ def run_many(names: Sequence[str],
              cache: bool = True,
              cache_dir: Optional[os.PathLike] = None,
              fingerprint: Optional[str] = None,
-             workers=None,
-             spawn_workers: int = 0,
              cell_timeout: Optional[float] = None) -> RunReport:
     """Run several experiments as ONE flat cell sweep.
 
-    All cells from all requested experiments share the pool (or the
-    dispatch worker fleet), so a long sweep (fig7's two one-minute
-    configs) overlaps with everything else instead of serializing
-    behind its own two-cell fan-out.
+    All cells from all requested experiments share the pool, so a long
+    sweep (fig7's two one-minute configs) overlaps with everything else
+    instead of serializing behind its own two-cell fan-out.
     """
     jobs = jobs if jobs else default_jobs()
     report = RunReport(jobs=jobs)
@@ -550,7 +455,6 @@ def run_many(names: Sequence[str],
     fragments = execute_cells(flat, jobs=jobs, cache=cache,
                               cache_dir=cache_dir, fingerprint=fingerprint,
                               stats=report.stats, report=report,
-                              workers=workers, spawn_workers=spawn_workers,
                               cell_timeout=cell_timeout)
 
     offset = 0

@@ -40,21 +40,18 @@ class IoPageTable:
     def map_batch(self, entries: Dict[int, int]) -> None:
         """Install many translations at once (the paper's batched update).
 
-        One validation sweep and one dict merge for the whole range; falls
-        back to the per-page :meth:`map` loop when the DMA sanitizer is
-        active so every install is individually checked.  Final page-table
-        state and the ``maps`` counter are identical either way.
+        One validation sweep and one dict merge for the whole range, armed
+        or not; an armed sanitizer then checks every installed entry in one
+        ``on_pt_map_range`` call.
         """
-        if _hooks.active is not None:
-            for iopn, frame in entries.items():
-                self.map(iopn, frame)
-            return
         if entries:
             if min(entries.values()) < 0:
                 bad = next(f for f in entries.values() if f < 0)
                 raise ValueError(f"invalid frame {bad!r}")
             self._entries.update(entries)
             self.maps += len(entries)
+            if _hooks.active is not None:
+                _hooks.active.on_pt_map_range(self, entries)
 
     def unmap(self, iopn: int) -> bool:
         """Remove a translation; returns whether it was present."""

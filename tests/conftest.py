@@ -52,3 +52,27 @@ def _dma_sanitizer(request):
         san.final_check()
     if san.violations:
         pytest.fail(san.summary(), pytrace=False)
+
+
+@pytest.fixture
+def force_pool(monkeypatch):
+    """Let the fork pool engage on any box; return an executor reporting
+    the mode it ran in.
+
+    The pool engages only above two usable cores, so on a 1- or 2-core
+    box ``jobs > 1`` quietly stays in-process and a "parallel" identity
+    test never leaves the process.  With ``runner.usable_cpus`` patched
+    to 4, ``execute(cells, jobs)`` runs uncached and returns
+    ``(fragments, report.mode)``; ``run_many`` sees the patch too.
+    """
+    from repro.experiments import runner
+
+    monkeypatch.setattr(runner, "usable_cpus", lambda: 4)
+
+    def execute(cells, jobs):
+        report = runner.RunReport(jobs=jobs)
+        fragments = runner.execute_cells(cells, jobs=jobs, cache=False,
+                                         report=report)
+        return fragments, report.mode
+
+    return execute

@@ -11,10 +11,11 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from repro.analysis import hooks
+from repro.analysis import hooks, observe
 from repro.analysis.sanitizer import DmaSanitizer, SanitizerError
 from repro.core import NpfCosts, NpfDriver, NpfSide
 from repro.iommu.iommu import Iommu
+from repro.iommu.page_table import IoPageTable
 from repro.mem.memory import Memory
 from repro.sim import Environment, Rng
 from repro.sim.units import MB, PAGE_SIZE
@@ -145,6 +146,99 @@ def test_bulk_invalidation_is_one_path_armed_or_not():
     assert plain[1:3] == (8, 4)
     assert san.pt_unmaps == 4
     assert san.range_unmaps == [8]
+
+
+# -- the bulk page-table install ---------------------------------------------
+
+def test_bulk_install_of_non_resident_frame_is_detected():
+    """The planted bug: ``map_batch`` installs a PTE for a frame no page
+    is resident in; the range hook checks every bulk-installed entry."""
+    san = DmaSanitizer()
+    with hooks.session(san):
+        iommu = Iommu()
+        driver = NpfDriver(Environment(), iommu, costs=NpfCosts(rng=Rng(5)))
+        space = Memory(16 * PAGE_SIZE).create_space()
+        region = space.mmap(4 * PAGE_SIZE)
+        mr = driver.register_odp(space, region)
+        base = region.vpns()[0]
+        space.touch_page(base)
+        resident = space.translate(base)
+        iommu.map_batch(mr.domain.domain_id, {base: resident})
+        assert san.violations == [], san.summary()
+        # BUG (deliberate): a frame nothing is resident in.
+        iommu.map_batch(mr.domain.domain_id,
+                        {base: resident, base + 1: resident + 7})
+    assert _checkers(san) == {"mapped-not-resident"}
+    assert len(san.violations) == 1
+
+
+def _service_faults():
+    """Service one 4-page and one 1-page fault; returns the page table,
+    its ``maps`` count, each fault's latency breakdown and log sums."""
+    env = Environment()
+    iommu = Iommu()
+    driver = NpfDriver(env, iommu, costs=NpfCosts(rng=Rng(5)))
+    space = Memory(64 * PAGE_SIZE).create_space()
+    region = space.mmap(8 * PAGE_SIZE)
+    mr = driver.register_odp(space, region)
+    base = region.vpns()[0]
+    env.run(driver.service_fault_async(mr, base, 4, NpfSide.SEND))
+    env.run(driver.service_fault_async(mr, base + 6, 1, NpfSide.RECEIVE))
+    log = driver.log
+    return (dict(mr.domain.entries()), mr.domain.maps,
+            [(ev.time, ev.n_pages, ev.breakdown) for ev in log.npf_events],
+            log.npf_count, log.npf_summary().mean)
+
+
+class _MapCountingSanitizer(DmaSanitizer):
+    def __init__(self):
+        super().__init__()
+        self.pt_maps = 0
+        self.range_maps = []
+
+    def on_pt_map(self, table, iopn, frame):
+        self.pt_maps += 1
+        super().on_pt_map(table, iopn, frame)
+
+    def on_pt_map_range(self, table, entries):
+        self.range_maps.append(len(entries))
+        super().on_pt_map_range(table, entries)
+
+
+def test_bulk_install_is_one_path_armed_or_not():
+    """Armed and unarmed fault service leave the same page table, ``maps``
+    count, latencies and log sums; the armed run checks the 4-page
+    install with one range hook and the 1-page install with one
+    ``on_pt_map``."""
+    with hooks.session(None):
+        plain = _service_faults()
+    san = _MapCountingSanitizer()
+    with hooks.session(san):
+        armed = _service_faults()
+        san.final_check()
+    assert san.violations == [], san.summary()
+    assert armed == plain
+    assert plain[1] == len(plain[0]) == 5
+    assert san.range_maps == [4]
+    assert san.pt_maps == 4 + 1  # the range hook's per-entry checks + 1
+
+
+def test_fault_path_never_calls_per_page_map(monkeypatch):
+    """Under ``observe()`` the fault path installs PTEs through the bulk
+    form only: ``IoPageTable.map`` is never called."""
+    calls = []
+    per_page_map = IoPageTable.map
+
+    def counting_map(self, iopn, frame):
+        calls.append(iopn)
+        per_page_map(self, iopn, frame)
+
+    monkeypatch.setattr(IoPageTable, "map", counting_map)
+    with observe() as verdict:
+        _, maps, *_ = _service_faults()
+    assert verdict.clean, verdict.summary
+    assert maps == 5
+    assert calls == []
 
 
 # -- pinned-frame accounting -------------------------------------------------

@@ -19,7 +19,7 @@ from repro.experiments import fig3_breakdown
 from repro.experiments.base import results_to_json
 from repro.experiments.config import scaled_tcp_params
 from repro.experiments.fig4_cold_ring import MODES
-from repro.experiments.runner import run_experiment
+from repro.experiments.runner import SPECS, run_experiment
 from repro.host.host import ethernet_testbed
 from repro.sim.engine import Environment
 from repro.sim.rng import Rng
@@ -99,23 +99,29 @@ def test_fig4_cold_ring_event_streams_are_reproducible():
 
 
 @pytest.mark.skipif(not _FORK, reason="parallel runner needs the fork start method")
-def test_seed_matrix_is_byte_identical_across_job_counts():
+def test_seed_matrix_is_byte_identical_across_job_counts(force_pool):
     """3 seeds x jobs {1, 4}: each seed's rendered table must be
     byte-identical regardless of worker count, and distinct seeds must
     actually produce distinct tables (the seed plumbing is not dead)."""
     MessageFramer.reset_registry()
+    spec = SPECS["table4"]
+    sweeps = {seed: spec.cells(samples=60, seed=seed) for seed in (7, 11, 23)}
+    # All three seeds in one flat sweep: enough pending cells to fork.
+    fragments, mode = force_pool(
+        [c for sweep in sweeps.values() for c in sweep], 4)
+    assert mode.startswith("fork-pool("), mode
     per_seed = {}
-    for seed in (7, 11, 23):
-        rendered = []
-        for jobs in (1, 4):
-            result = run_experiment(
-                "table4", samples=60, seed=seed, jobs=jobs, cache=False,
-            )
-            rendered.append(results_to_json([result]))
-        assert rendered[0] == rendered[1], (
+    offset = 0
+    for seed, sweep in sweeps.items():
+        pooled = spec.merge(sweep, fragments[offset:offset + len(sweep)])
+        offset += len(sweep)
+        sequential = run_experiment(
+            "table4", samples=60, seed=seed, jobs=1, cache=False,
+        )
+        assert results_to_json([pooled]) == results_to_json([sequential]), (
             f"seed {seed}: output diverged between jobs=1 and jobs=4"
         )
-        per_seed[seed] = rendered[0]
+        per_seed[seed] = results_to_json([sequential])
     assert len(set(per_seed.values())) == 3, (
         "different seeds produced identical tables; seed is not reaching cells"
     )

@@ -81,25 +81,31 @@ def test_source_fingerprint_is_stable_within_a_process():
 # -- parallel == sequential --------------------------------------------------
 
 @needs_fork
-def test_parallel_output_is_byte_identical_to_sequential(tmp_path):
+def test_parallel_output_is_byte_identical_to_sequential(force_pool):
     seq = run_many(FAST, jobs=1, cache=False)
     par = run_many(FAST, jobs=4, cache=False)
+    assert par.mode.startswith("fork-pool("), par.mode
     assert _render(seq.results.values()) == _render(par.results.values())
 
 
 @needs_fork
-def test_parallel_matches_run_facades():
+def test_parallel_matches_run_facades(force_pool):
     report = run_many(FAST, jobs=2, cache=False)
+    assert report.mode.startswith("fork-pool("), report.mode
     facades = [runner.SPECS[name].run() for name in FAST]
     assert _render(report.results.values()) == _render(facades)
 
 
 @needs_fork
 @pytest.mark.parametrize("jobs", [1, 2, 4])
-def test_determinism_across_job_counts(jobs):
-    result = run_experiment("ablation-pdc", jobs=jobs, cache=False)
+def test_determinism_across_job_counts(jobs, force_pool):
+    spec = runner.SPECS["ablation-pdc"]
+    sweep = spec.cells()
+    fragments, mode = force_pool(sweep, jobs)
+    if jobs > 1:
+        assert mode.startswith("fork-pool("), mode
     baseline = run_experiment("ablation-pdc", jobs=1, cache=False)
-    assert _render([result]) == _render([baseline])
+    assert _render([spec.merge(sweep, fragments)]) == _render([baseline])
 
 
 def test_json_export_is_stable():

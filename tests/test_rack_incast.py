@@ -1,9 +1,8 @@
 """Golden-trace determinism for the rack incast sweep.
 
 An 8-to-1 reduced sweep (all nine net x memory cells) must serialize
-byte-identically to the committed golden under every execution engine:
-sequential, parallel pool at several widths, and the distributed
-dispatch path with real spawned workers.  The golden pins the whole
+byte-identically to the committed golden under both execution paths:
+in-process and the fork pool at several widths.  The golden pins the whole
 surface — goodput floats, PFC pause counts, retransmit/NACK/drop
 counters — so any nondeterminism in the rack fabric shows up as a
 one-byte diff here long before it corrupts a paper figure.
@@ -26,8 +25,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.base import results_to_json
-from repro.experiments.dispatch.spawn import spawned_workers
-from repro.experiments.runner import run_experiment
+from repro.experiments.runner import SPECS
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "rack_incast_8to1.json"
 
@@ -39,24 +37,15 @@ def _render():
     return GOLDEN.read_text()
 
 
-def _run(**kwargs):
-    result = run_experiment("rack-incast", cache=False, **CONFIG, **kwargs)
-    return results_to_json([result])
-
-
 @pytest.mark.parametrize("jobs", [1, 2, 4])
-def test_incast_golden_across_job_counts(jobs):
-    assert _run(jobs=jobs) == _render(), \
+def test_incast_golden_across_job_counts(jobs, force_pool):
+    spec = SPECS["rack-incast"]
+    sweep = spec.cells(**CONFIG)
+    fragments, mode = force_pool(sweep, jobs)
+    if jobs > 1:
+        assert mode.startswith("fork-pool("), mode
+    assert results_to_json([spec.merge(sweep, fragments)]) == _render(), \
         f"--jobs {jobs} diverged from the committed golden"
-
-
-def test_incast_golden_through_dispatch_workers():
-    """The same sweep through 2 spawned dispatch workers must land on
-    the identical bytes — cells travel by dotted name and the rack
-    fabric must rebuild deterministically on a foreign process."""
-    with spawned_workers(2) as endpoints:
-        rendered = _run(workers=[f"{h}:{p}" for h, p in endpoints])
-    assert rendered == _render(), "dispatch run diverged from the golden"
 
 
 def test_incast_golden_is_internally_consistent():

@@ -475,102 +475,6 @@ def run_experiments_gate(jobs: int | None, quick: bool) -> dict:
     return gate
 
 
-def run_dispatch_gate(quick: bool) -> dict:
-    """The ``dispatch_overhead`` gate for the distributed cell engine.
-
-    Three legs over the same experiment list, all uncached:
-
-    * sequential in-process (``jobs=1``) — the baseline;
-    * explicit loopback dispatch through ONE spawned worker — the
-      worst case for the protocol (every cell round-trips pickle over
-      TCP with zero parallelism to hide it behind); acceptance is
-      ``dispatch_s <= 1.3 x sequential_s`` plus a 1-second absolute
-      allowance for the worker's one-time module-import warmup (its
-      first cell imports the whole experiment package), which is real
-      but fixed — on the full suite it is noise, on the sub-second
-      ``--quick`` suite it would otherwise dominate the ratio;
-    * ``--spawn-workers 2`` autospawn — on a <= 2-core box the honesty
-      heuristic must fall back in-process (recorded as the effective
-      mode) and stay within 5% of the sequential leg; on a bigger box
-      the spawned workers must win or at least record their true mode.
-
-    All three rendered outputs must be byte-identical — the dispatch
-    path's core promise.
-    """
-    import contextlib
-    import io
-    import os
-
-    from repro.experiments.base import print_result
-    from repro.experiments.dispatch import spawned_workers
-    from repro.experiments.runner import SPECS, run_many, usable_cpus
-
-    names = [n for n in SPECS if n in QUICK_EXPERIMENTS] if quick \
-        else list(SPECS)
-
-    def timed(**kwargs):
-        t0 = time.perf_counter()
-        report = run_many(names, cache=False, **kwargs)
-        elapsed = time.perf_counter() - t0
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            for result in report.results.values():
-                print_result(result)
-        return elapsed, buf.getvalue(), report
-
-    print(f"  dispatch_overhead: {len(names)} experiments")
-    sequential_s, seq_text, seq_report = timed(jobs=1)
-    print(f"  sequential (jobs=1)            {sequential_s:8.1f} s")
-
-    with spawned_workers(1) as endpoints:
-        dispatch_s, disp_text, disp_report = timed(
-            workers=[f"{host}:{port}" for host, port in endpoints])
-    print(f"  loopback dispatch (1 worker, mode={disp_report.mode})"
-          f"  {dispatch_s:8.1f} s")
-
-    spawn_s, spawn_text, spawn_report = timed(spawn_workers=2)
-    print(f"  --spawn-workers 2 (mode={spawn_report.mode})"
-          f"  {spawn_s:8.1f} s")
-
-    identical = seq_text == disp_text == spawn_text
-    overhead = round(dispatch_s / sequential_s, 3) if sequential_s else None
-    auto_fallback = spawn_report.mode == "in-process"
-    auto_ratio = round(spawn_s / sequential_s, 3) if sequential_s else None
-    # Fixed allowances: 1 s covers the worker's one-time import warmup
-    # on the dispatch leg, 0.5 s covers scheduler noise on the (code-
-    # identical) fallback leg; both vanish against the full suite.
-    overhead_ok = dispatch_s <= 1.3 * sequential_s + 1.0
-    auto_ok = (not auto_fallback
-               or spawn_s <= 1.05 * sequential_s + 0.5)
-    ok = (identical
-          and disp_report.mode.startswith("dispatch(n=1,")
-          and overhead_ok and auto_ok)
-    gate = {
-        "experiments": len(names),
-        "cells": seq_report.stats.total,
-        "cores": os.cpu_count(),
-        "usable_cores": usable_cpus(),
-        "quick": quick,
-        "sequential_s": round(sequential_s, 2),
-        "dispatch_1worker_s": round(dispatch_s, 2),
-        "dispatch_mode": disp_report.mode,
-        "dispatch_overhead": overhead,
-        "spawn_workers_s": round(spawn_s, 2),
-        "spawn_workers_mode": spawn_report.mode,
-        "spawn_workers_ratio": auto_ratio,
-        "spawn_workers_notes": spawn_report.notes,
-        "outputs_identical": identical,
-        "ok": ok,
-    }
-    print(f"  overhead {overhead}x (bound 1.3x), autospawn "
-          f"{auto_ratio}x{' (honest fallback)' if auto_fallback else ''}, "
-          f"outputs identical: {identical} -> {'ok' if ok else 'FAIL'}")
-    if not identical:
-        print("  ERROR: dispatched output diverged from sequential",
-              file=sys.stderr)
-    return gate
-
-
 def run_rack_gate(quick: bool) -> dict:
     """The ``rack_incast`` gate for the rack-scale fabric.
 
@@ -727,10 +631,6 @@ def main(argv=None) -> int:
     parser.add_argument("--jobs", type=int, default=None,
                         help="worker processes for --experiments "
                              "(default: all cores)")
-    parser.add_argument("--dispatch", action="store_true",
-                        help="run the dispatch_overhead gate for the "
-                             "distributed cell engine (loopback worker "
-                             "vs in-process; writes BENCH_experiments.json)")
     parser.add_argument("--rack", action="store_true",
                         help="run the rack_incast gate (byte-identity plus "
                              "GBN-vs-IRN goodput separation; with --quick, "
@@ -767,26 +667,6 @@ def main(argv=None) -> int:
             "platform": platform.platform(),
         }
         payload.setdefault("rack_incast", {})[args.label] = gate
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {path}")
-        return 0 if gate["ok"] else 1
-
-    if args.dispatch:
-        if args.json == parser.get_default("json"):
-            args.json = str(REPO_ROOT / ("BENCH_experiments_quick.json"
-                                         if args.quick
-                                         else "BENCH_experiments.json"))
-        print(f"dispatch overhead gate ({args.label}):")
-        gate = run_dispatch_gate(args.quick)
-        path = Path(args.json)
-        payload = {}
-        if path.exists():
-            payload = json.loads(path.read_text())
-        payload.setdefault("meta", {})[args.label] = {
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-        }
-        payload.setdefault("dispatch_overhead", {})[args.label] = gate
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         print(f"wrote {path}")
         return 0 if gate["ok"] else 1

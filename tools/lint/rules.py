@@ -31,9 +31,6 @@ RULE_DOCS = {
              "(cells must be pure: config in, fragment out)",
     "RL008": "direct heapq operation on Environment scheduler state "
              "outside sim/ (use env.timeout/after/defer/schedule_callback)",
-    "RL013": "blocking socket I/O in experiments/dispatch/ with no socket "
-             "timeout armed in the same function (a wedged peer would hang "
-             "the dispatcher forever)",
 }
 
 #: (start_line, start_col, end_line, end_col, replacement) — 1-based lines.
@@ -513,68 +510,6 @@ def _check_cell_purity(path: str, tree: ast.Module) -> Iterator[RawFinding]:
                 )
 
 
-# -- RL013: socket timeouts in the dispatch transport -------------------------
-#
-# The distributed dispatcher exists to remove the hung-worker hazard,
-# so its own transport must never block forever: every function that
-# performs blocking socket I/O must arm a timeout first — either a
-# ``.settimeout(...)`` call in the same function, or
-# ``socket.create_connection(..., timeout=...)``.  Scoped per function,
-# like RL006: helpers that only *compose* other (timeout-arming)
-# helpers carry no blocking call themselves and pass trivially.
-
-_BLOCKING_SOCKET_METHODS = {
-    "accept", "recv", "recv_into", "recvfrom", "recvmsg", "send",
-    "sendall", "sendto", "makefile",
-}
-
-
-def _is_dispatch_module(path: str) -> bool:
-    rel = _repro_parts(path)
-    return rel is not None and rel[:2] == ("experiments", "dispatch")
-
-
-def _create_connection_has_timeout(node: ast.Call) -> bool:
-    if len(node.args) >= 2:
-        return True
-    return any(kw.arg == "timeout" for kw in node.keywords)
-
-
-def _check_socket_timeouts(path: str, tree: ast.Module) -> Iterator[RawFinding]:
-    if not _is_dispatch_module(path):
-        return
-    for fn in ast.walk(tree):
-        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        arms_timeout = False
-        blocking: List[Tuple[ast.Call, str]] = []
-        for node in ast.walk(fn):
-            if not (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)):
-                continue
-            attr = node.func.attr
-            if attr == "settimeout":
-                arms_timeout = True
-            elif attr == "create_connection":
-                if _create_connection_has_timeout(node):
-                    arms_timeout = True
-                else:
-                    blocking.append((node, "create_connection"))
-            elif attr == "connect":
-                blocking.append((node, attr))
-            elif attr in _BLOCKING_SOCKET_METHODS:
-                blocking.append((node, attr))
-        if arms_timeout:
-            continue
-        for call, op in blocking:
-            yield RawFinding(
-                call.lineno, call.col_offset, "RL013",
-                f"blocking socket op .{op}() with no settimeout (or "
-                f"create_connection timeout=) in this function: a wedged "
-                f"peer hangs the dispatcher forever",
-            )
-
-
 # -- entry point -------------------------------------------------------------
 
 def collect_findings(path: str, tree: ast.Module,
@@ -587,7 +522,6 @@ def collect_findings(path: str, tree: ast.Module,
     findings.extend(_check_unmap_shootdown(path, tree))
     findings.extend(_check_scheduler_heap(path, tree))
     findings.extend(_check_cell_purity(path, tree))
-    findings.extend(_check_socket_timeouts(path, tree))
     # RL001 fixes need the import line too; attach it to the first fix.
     for f in findings:
         if f.code == "RL001" and f.fix is not None:
